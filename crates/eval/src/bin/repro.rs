@@ -1,57 +1,66 @@
 //! Regenerates the paper's figures as text tables.
 //!
-//! Usage: `repro [experiment|all] [quick|standard|full]`
+//! Usage: `repro [list|all|<experiment>] [quick|standard|full]`
 //!
 //! Examples:
 //!   repro all standard      # every figure at ~40 packets/config
 //!   repro fig9 full         # the environments experiment at paper scale
 //!   repro list              # list available experiments
+//!
+//! Bad input (an unknown experiment or size, or an extra argument) exits
+//! with status 2 before any experiment starts.
 
-use aqua_eval::{engine, run_experiment, RunSize, ALL_EXPERIMENTS, EXPERIMENT_HELP};
+use aqua_eval::{engine, experiment, RunSize, EXPERIMENTS};
+use std::process::exit;
+
+const USAGE: &str = "usage: repro [list|all|<experiment>] [quick|standard|full]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args.first().map(String::as_str).unwrap_or("all");
-    let size = args
-        .get(1)
-        .and_then(|s| RunSize::parse(s))
-        .unwrap_or(RunSize::Standard);
-
-    if which == "list" {
-        for (name, help) in EXPERIMENT_HELP {
-            println!("{name:<12} {help}");
-        }
-        return;
+    if args.len() > 2 {
+        eprintln!("unexpected argument {:?}\n{USAGE}", args[2]);
+        exit(2);
     }
-
-    let names: Vec<&str> = if which == "all" {
-        ALL_EXPERIMENTS.to_vec()
-    } else {
-        vec![which]
+    let size = match args.get(1) {
+        None => RunSize::Standard,
+        Some(word) => RunSize::parse(word).unwrap_or_else(|| {
+            eprintln!("unknown size {word:?}\n{USAGE}");
+            exit(2)
+        }),
     };
-    let eng = engine::global();
-    for name in names {
-        let trials_before = eng.trials_run();
-        let start = std::time::Instant::now();
-        match run_experiment(name, size) {
-            Some(report) => {
-                println!("{report}");
-                let wall = start.elapsed().as_secs_f64();
-                let trials = eng.trials_run() - trials_before;
-                if trials > 0 {
-                    eprintln!(
-                        "[{name} took {wall:.1} s — {trials} trials, {:.1} trials/s on {} worker(s)]",
-                        trials as f64 / wall.max(1e-9),
-                        eng.workers(),
-                    );
-                } else {
-                    eprintln!("[{name} took {wall:.1} s]");
-                }
+    let selected = match args.first().map_or("all", String::as_str) {
+        "list" => {
+            for e in EXPERIMENTS {
+                println!("{:<12} {:<16} {}", e.name, e.paper_ref, e.what);
             }
+            return;
+        }
+        "all" => EXPERIMENTS,
+        name => match experiment(name) {
+            Some(e) => std::slice::from_ref(e),
             None => {
                 eprintln!("unknown experiment {name:?}; try `repro list`");
-                std::process::exit(2);
+                exit(2);
             }
+        },
+    };
+
+    let eng = engine::global();
+    for e in selected {
+        let trials_before = eng.trials_run();
+        let start = std::time::Instant::now();
+        println!("{}", (e.run)(size));
+        let wall = start.elapsed().as_secs_f64();
+        let trials = eng.trials_run() - trials_before;
+        if trials > 0 {
+            eprintln!(
+                "[{} took {wall:.1} s — {trials} trials, {:.1} trials/s on {} worker(s)]",
+                e.name,
+                trials as f64 / wall.max(1e-9),
+                eng.workers(),
+            );
+        } else {
+            eprintln!("[{} took {wall:.1} s]", e.name);
         }
     }
 }

@@ -16,7 +16,7 @@ use aqua_phy::frame::FrameConfig;
 use aqua_phy::ofdm::{demodulate_data, modulate_coded, DecodeOptions};
 use aqua_phy::params::OfdmParams;
 use aqua_phy::preamble::{detect, DetectorConfig, Preamble};
-use aquapp::trial::{Scheme, TrialConfig};
+use aquapp::trial::{front_end, Scheme, TrialConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,7 +62,7 @@ pub fn fig8(size: RunSize) -> String {
             let preamble = Preamble::new(params);
             let mut lead = vec![0.0; 2400];
             lead.extend_from_slice(&preamble.samples);
-            let pre_rx = crate::front_end(&link.transmit(&lead, 0.0));
+            let pre_rx = front_end(&link.transmit(&lead, 0.0));
             let Some(det) = detect(&pre_rx, &preamble, &DetectorConfig::default()) else {
                 return points;
             };
@@ -73,7 +73,7 @@ pub fn fig8(size: RunSize) -> String {
             let nbits = symbols * params.num_bins;
             let bits: Vec<u8> = (0..nbits).map(|_| rng.gen_range(0..2u8)).collect();
             let tx = modulate_coded(&params, band, &bits, true);
-            let rx = crate::front_end(&link.transmit(&tx, 1.0));
+            let rx = front_end(&link.transmit(&tx, 1.0));
             let start = det.offset.saturating_sub(2400);
             let aligned = &rx[start.min(rx.len().saturating_sub(1))..];
             if aligned.len() < tx.len() {

@@ -15,7 +15,8 @@
 //!
 //! The second table reports the bounded-memory witnesses (peak event-heap
 //! and collision-window lengths, sample-level probe renders) and event
-//! throughput — the numbers EXPERIMENTS.md records and `ci.sh` budgets.
+//! throughput — the numbers EXPERIMENTS.md records. The quick size runs
+//! in `ci.sh`'s one `repro all quick` gate.
 
 use crate::runner::RunSize;
 use crate::table::{pct, Table};

@@ -28,15 +28,14 @@
 //! | standard | 400   | 4 h       | 40    |
 //! | full     | 1 600 | 8 h       | 160   |
 //!
-//! EXPERIMENTS.md records the quick/standard tables; `ci.sh` budgets
-//! `repro recovery quick` at 60 s.
+//! EXPERIMENTS.md records the quick/standard tables; the quick size runs
+//! in `ci.sh`'s one `repro all quick` gate.
 
-use crate::relay::flows;
+use crate::relay::grid_config;
 use crate::runner::RunSize;
 use crate::table::{pct, Table};
-use aqua_mac::ocean::{ChurnConfig, TopologyKind};
-use aqua_net::sim::RelayTopology;
-use aqua_net::{check_invariants, run_relay_ocean_audit, JournalConfig, RelayOceanConfig};
+use aqua_mac::ocean::ChurnConfig;
+use aqua_net::{check_invariants, run_relay_ocean_audit, JournalConfig};
 use aqua_par::Pool;
 
 /// Node count, simulated seconds and flow count for a run size.
@@ -91,25 +90,9 @@ pub fn recovery(size: RunSize) -> String {
     );
     for (label, crash) in intensities() {
         for durable in [false, true] {
-            let mut cfg = RelayOceanConfig::deployment(
-                RelayTopology::Kind(TopologyKind::Grid),
-                nodes,
-                sim_s,
-                42,
-            );
+            let mut cfg = grid_config(nodes, sim_s, flow_count);
             cfg.crash = crash.clone();
             cfg.journal = durable.then(JournalConfig::default);
-            // The relay experiment's tuning for sparse acoustic grids:
-            // long gaps against neighborhood saturation, copies and
-            // retry cadence budgeted for multi-hop custody walks.
-            cfg.mac.inter_packet_gap_s = (60.0, 180.0);
-            cfg.relay.spray_copies = 16;
-            cfg.relay.neighbor_expiry_s = 1800.0;
-            cfg.relay.min_rto_s = 120.0;
-            cfg.relay.max_rto_s = 480.0;
-            cfg.relay.focus_after_s = 180.0;
-            cfg.relay.max_hops = 64;
-            cfg.traffic.pairs = flows(nodes, flow_count);
             // TTLs must outlive the run with slack — expiry lawfully
             // ends custody and would blind the conservation oracle.
             cfg.traffic.ttl_s = (sim_s + 3600.0).min(f64::from(u16::MAX)) as u16;

@@ -23,8 +23,8 @@
 //! | standard | 2 000 | 4 h       | 200   |
 //! | full     | 5 000 | 8 h       | 500   |
 //!
-//! EXPERIMENTS.md records the quick/standard tables; `ci.sh` budgets
-//! `repro relay quick` at 60 s.
+//! EXPERIMENTS.md records the quick/standard tables; the quick size runs
+//! in `ci.sh`'s one `repro all quick` gate.
 
 use crate::runner::RunSize;
 use crate::table::{pct, Table};
@@ -71,7 +71,7 @@ fn intensities() -> [(&'static str, ChurnConfig); 3] {
 /// three rows and three columns diagonally from its source — ~85 m on
 /// the 20 m pitch, past the 60 m wall where the PER curves hit 1.0, so
 /// every pair is undeliverable single-hop but a few relay hops away.
-pub(crate) fn flows(nodes: usize, count: usize) -> Vec<(u16, u16)> {
+fn flows(nodes: usize, count: usize) -> Vec<(u16, u16)> {
     let cols = (nodes as f64).sqrt().ceil() as usize;
     let mut pairs = Vec::with_capacity(count);
     let mut k = 0usize;
@@ -89,6 +89,31 @@ pub(crate) fn flows(nodes: usize, count: usize) -> Vec<(u16, u16)> {
         pairs.push((src as u16, (dst_row * cols + dst_col) as u16));
     }
     pairs
+}
+
+/// The seed-42 grid deployment that `relay` and `recovery` share, tuned
+/// for sparse acoustic grids and offering `flows` at `t = 0`. Callers
+/// set their own outage schedule and TTL.
+pub(crate) fn grid_config(nodes: usize, sim_s: f64, flow_count: usize) -> RelayOceanConfig {
+    let mut cfg =
+        RelayOceanConfig::deployment(RelayTopology::Kind(TopologyKind::Grid), nodes, sim_s, 42);
+    // The deployment default (10–30 s gaps) saturates a 60-node acoustic
+    // neighborhood (~0.55 s per frame); back off to keep collision losses
+    // survivable.
+    cfg.mac.inter_packet_gap_s = (60.0, 180.0);
+    // Static grids diffuse copies ~log2(spray_copies) hops from the
+    // source, round-robin beacons revisit a given neighbor only every
+    // |candidates| transmit opportunities, and at ~40 % per-frame
+    // delivery a custody handoff round-trip needs several tries — budget
+    // copies, freshness, retry cadence and hop count for all of that.
+    cfg.relay.spray_copies = 16;
+    cfg.relay.neighbor_expiry_s = 1800.0;
+    cfg.relay.min_rto_s = 120.0;
+    cfg.relay.max_rto_s = 480.0;
+    cfg.relay.focus_after_s = 180.0;
+    cfg.relay.max_hops = 64;
+    cfg.traffic.pairs = flows(nodes, flow_count);
+    cfg
 }
 
 /// Runs the churn sweep, direct vs DTN, on identical geometry and seed.
@@ -116,31 +141,9 @@ pub fn relay(size: RunSize) -> String {
     );
     for (label, churn) in intensities() {
         for direct in [true, false] {
-            let mut cfg = RelayOceanConfig::deployment(
-                RelayTopology::Kind(TopologyKind::Grid),
-                nodes,
-                sim_s,
-                42,
-            );
+            let mut cfg = grid_config(nodes, sim_s, flow_count);
             cfg.churn = churn.clone();
             cfg.relay.direct = direct;
-            // The deployment default (10–30 s gaps) saturates a 60-node
-            // acoustic neighborhood (~0.55 s per frame); back off to keep
-            // collision losses survivable.
-            cfg.mac.inter_packet_gap_s = (60.0, 180.0);
-            // Static grids diffuse copies ~log2(spray_copies) hops from the
-            // source, round-robin beacons revisit a given neighbor only
-            // every |candidates| transmit opportunities, and at ~40 %
-            // per-frame delivery a custody handoff round-trip needs several
-            // tries — budget copies, freshness, retry cadence and hop
-            // count for all of that.
-            cfg.relay.spray_copies = 16;
-            cfg.relay.neighbor_expiry_s = 1800.0;
-            cfg.relay.min_rto_s = 120.0;
-            cfg.relay.max_rto_s = 480.0;
-            cfg.relay.focus_after_s = 180.0;
-            cfg.relay.max_hops = 64;
-            cfg.traffic.pairs = flows(nodes, flow_count);
             cfg.traffic.ttl_s = sim_s.min(f64::from(u16::MAX)) as u16;
             let r = run_relay_ocean(&cfg, &pool);
             results.row(vec![

@@ -13,8 +13,8 @@ use aqua_phy::chanest::estimate;
 use aqua_phy::feedback::{decode_feedback_whitened, encode_feedback, noise_bin_power};
 use aqua_phy::ofdm::DecodeOptions;
 use aqua_phy::params::OfdmParams;
-use aqua_phy::preamble::{detect, DetectorConfig, Preamble, StreamingDetector};
-use aquapp::trial::TrialConfig;
+use aqua_phy::preamble::{detect, detect_streaming, DetectorConfig, Preamble};
+use aquapp::trial::{front_end, TrialConfig};
 
 /// The three mobility scenarios of §3 ("Effect of mobility").
 pub fn mobility_scenarios(base: Pos) -> [(&'static str, Trajectory); 3] {
@@ -93,10 +93,10 @@ pub fn stability_sample(traj: &Trajectory, seed: u64) -> Option<f64> {
     });
     let mut tx = vec![0.0; 1200];
     tx.extend_from_slice(&preamble.samples);
-    let rx1 = crate::front_end(&link.transmit(&tx, 0.0));
+    let rx1 = front_end(&link.transmit(&tx, 0.0));
     // second preamble one header+feedback later (~0.36 s)
     let gap_s = 0.36;
-    let rx2 = crate::front_end(&link.transmit(&tx, gap_s));
+    let rx2 = front_end(&link.transmit(&tx, gap_s));
 
     let det1 = detect(&rx1, &preamble, &DetectorConfig::default())?;
     let det2 = detect(&rx2, &preamble, &DetectorConfig::default())?;
@@ -159,14 +159,6 @@ pub fn preamble_and_feedback_stats(size: RunSize) -> String {
     );
     for dist in [5.0, 10.0, 20.0, 30.0] {
         // Per-capture fan-out: (detected, agrees-with-batch, feedback-error).
-        // Each worker keeps one long-lived StreamingDetector, reset per
-        // capture — decision-identical to a per-capture detector, but the
-        // template spectrum is planned once per thread, as in a real
-        // receiver.
-        thread_local! {
-            static SDET: std::cell::RefCell<Option<StreamingDetector>> =
-                const { std::cell::RefCell::new(None) };
-        }
         let outcomes: Vec<(bool, bool, bool)> = crate::engine::global().par_map(n, |i| {
             let seed = 50_000 + i as u64 + dist as u64 * 977;
             let mut fwd = Link::new(LinkConfig::s9_pair(
@@ -177,16 +169,8 @@ pub fn preamble_and_feedback_stats(size: RunSize) -> String {
             ));
             let mut tx = vec![0.0; 1000];
             tx.extend_from_slice(&preamble.samples);
-            let rx = crate::front_end(&fwd.transmit(&tx, 0.0));
-            let streaming = SDET.with(|cell| {
-                let mut slot = cell.borrow_mut();
-                let sdet =
-                    slot.get_or_insert_with(|| StreamingDetector::new(preamble.clone(), cfg));
-                sdet.reset();
-                let mut found = sdet.push(&rx);
-                found.extend(sdet.flush());
-                found.into_iter().next()
-            });
+            let rx = front_end(&fwd.transmit(&tx, 0.0));
+            let streaming = detect_streaming(&rx, &preamble, &cfg);
             let batch = detect(&rx, &preamble, &cfg);
             let agree = matches!(
                 (&streaming, &batch),
@@ -201,9 +185,9 @@ pub fn preamble_and_feedback_stats(size: RunSize) -> String {
                 Pos::new(0.0, 0.0, 1.0),
                 seed ^ 0xBB,
             ));
-            let ambient = crate::front_end(&back.ambient(8 * params.n_fft));
+            let ambient = front_end(&back.ambient(8 * params.n_fft));
             let npp = noise_bin_power(&params, &ambient);
-            let fb_rx = crate::front_end(&back.transmit(&encode_feedback(&params, band), 0.0));
+            let fb_rx = front_end(&back.transmit(&encode_feedback(&params, band), 0.0));
             let fb_error = !matches!(
                 decode_feedback_whitened(&params, &fb_rx, 0.3, Some(&npp)),
                 Some(d) if d.band == band
@@ -245,7 +229,7 @@ pub fn detector_ablation(size: RunSize) -> String {
         ));
         let mut tx = vec![0.0; 1500];
         tx.extend_from_slice(&preamble.samples);
-        let rx = crate::front_end(&link.transmit(&tx, 0.0));
+        let rx = front_end(&link.transmit(&tx, 0.0));
         let corr = xcorr_valid_fft(&rx, &preamble.samples);
         argmax(&corr).map(|i| corr[i].abs()).unwrap_or(1.0)
     };
@@ -278,7 +262,7 @@ pub fn detector_ablation(size: RunSize) -> String {
             let mut link = Link::new(cfg);
             let mut tx = vec![0.0; 1500];
             tx.extend_from_slice(&preamble.samples);
-            let rx = crate::front_end(&link.transmit(&tx, 0.0));
+            let rx = front_end(&link.transmit(&tx, 0.0));
             (
                 detect(&rx, &preamble, &DetectorConfig::default()).is_none(),
                 !coarse_only(&rx),

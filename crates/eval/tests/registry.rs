@@ -1,7 +1,8 @@
-//! Harness-level tests: the experiment registry and summary statistics.
+//! Harness-level tests: the experiment registry, its DESIGN.md §5 mirror
+//! and summary statistics.
 
 use aqua_eval::runner::{summarize, RunSize};
-use aqua_eval::{run_experiment, ALL_EXPERIMENTS};
+use aqua_eval::{experiment, EXPERIMENTS};
 use aquapp::trial::TrialResult;
 
 fn trial(packet_ok: bool, detected: bool, bitrate: f64) -> TrialResult {
@@ -46,8 +47,8 @@ fn summarize_handles_empty_input() {
 
 #[test]
 fn registry_rejects_unknown_names() {
-    assert!(run_experiment("fig99", RunSize::Quick).is_none());
-    assert!(run_experiment("", RunSize::Quick).is_none());
+    assert!(experiment("fig99").is_none());
+    assert!(experiment("").is_none());
 }
 
 #[test]
@@ -57,7 +58,7 @@ fn registry_lists_every_paper_figure() {
         "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "preamble", "transfer",
     ] {
         assert!(
-            ALL_EXPERIMENTS.contains(&required),
+            experiment(required).is_some(),
             "missing paper experiment {required}"
         );
     }
@@ -68,8 +69,47 @@ fn cheap_experiments_run_and_produce_tables() {
     // the characterization experiments have no packet loops — they must be
     // fast enough to smoke-test here
     for name in ["fig3a", "fig3b", "fig3cd", "fig18", "delayspread"] {
-        let report = run_experiment(name, RunSize::Quick).expect(name);
+        let report = (experiment(name).expect(name).run)(RunSize::Quick);
         assert!(report.contains('|'), "{name} produced no table:\n{report}");
         assert!(report.lines().count() >= 4, "{name} table too small");
     }
+}
+
+/// The rows of DESIGN.md §5's index table as [paper ref, name, what].
+fn design_index_rows() -> Vec<[&'static str; 3]> {
+    let design = include_str!("../../../DESIGN.md");
+    let section = design
+        .split("\n## §5 ")
+        .nth(1)
+        .expect("DESIGN.md has a §5")
+        .split("\n## ")
+        .next()
+        .unwrap();
+    section
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .skip(2) // header and separator
+        .map(|line| {
+            let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+            assert_eq!(cells.len(), 4, "malformed §5 row: {line}");
+            [cells[0], cells[1].trim_matches('`'), cells[2]]
+        })
+        .collect()
+}
+
+#[test]
+fn design_index_matches_registry() {
+    let doc = design_index_rows();
+    for (row, e) in doc.iter().zip(EXPERIMENTS) {
+        assert_eq!(
+            *row,
+            [e.paper_ref, e.name, e.what],
+            "DESIGN.md §5 must repeat the registry's rows in its order"
+        );
+    }
+    assert_eq!(
+        doc.len(),
+        EXPERIMENTS.len(),
+        "DESIGN.md §5 and the registry list different numbers of experiments"
+    );
 }
