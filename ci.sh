@@ -104,9 +104,12 @@ echo "==> fault injection: determinism + block-ACK fuzz + blackout acceptance"
 # streams must never parse (and never as a `done` ACK); and the adaptive
 # engine must carry a 2 KB payload bit-exact through a mid-transfer 30 s
 # blackout by suspend/probe/resume where the static engine's round
-# budget provably dies.
+# budget provably dies. bulk_pinned pins every BulkOutcome field (floats
+# by bit pattern) of five runs through the one bulk round loop: static RS
+# clean, static no-FEC under a loss hook, adaptive clean, adaptive
+# through a mid-transfer blackout, adaptive under a permanent blackout.
 cargo test -q -p aqua-channel --release --test fault_determinism
-cargo test -q -p aquapp --release --test ack_fuzz --test bulk_faults
+cargo test -q -p aquapp --release --test ack_fuzz --test bulk_faults --test bulk_pinned
 
 echo "==> DTN relay: frame fuzz + custody props + determinism + acceptance"
 # PR 9 contracts, run in release where the fuzz case counts and the

@@ -9,8 +9,6 @@
 //!   handling.
 //! - [`interleave`]: the paper's "step = one third of the selected bins"
 //!   subcarrier interleaver.
-//! - [`differential`]: XOR differential coding across consecutive OFDM
-//!   symbols (mobility resilience).
 //! - [`rs`]: the Reed–Solomon outer erasure code striped across bulk
 //!   transfer packets (whole-packet losses; DESIGN.md §12).
 //! - [`crc`]: CRC-8/16 integrity checks for app-layer packets.
@@ -22,7 +20,6 @@
 pub mod bits;
 pub mod conv;
 pub mod crc;
-pub mod differential;
 pub mod interleave;
 pub mod rs;
 pub mod viterbi;

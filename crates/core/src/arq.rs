@@ -298,44 +298,6 @@ impl ArqSession {
     }
 }
 
-impl ArqSession {
-    /// [`Self::send`] with adaptive retry pacing: the estimator's
-    /// RTO replaces the fixed [`ack_timeout_s`] listen window on failed
-    /// attempts, so retries back off (capped, jittered) under sustained
-    /// loss instead of hammering a dead channel, and successful
-    /// exchanges feed their measured round-trip back into it.
-    pub fn send_adaptive(
-        &mut self,
-        base: &TrialConfig,
-        max_attempts: usize,
-        est: &mut RttEstimator,
-    ) -> ArqOutcome {
-        let fixed = self.send_with_ack_faults(base, max_attempts, |_| false);
-        // Re-derive the airtime with adaptive waits: the fixed engine
-        // charged `ack_timeout_s` per failed data-phase attempt; swap
-        // each for an estimator draw and feed the observations through.
-        let params = base.frame.params;
-        let mut airtime_s = 0.0;
-        for (i, t) in fixed.trials.iter().enumerate() {
-            let mut frame = base.frame;
-            frame.payload_bits = base.payload.len() + 1;
-            let attempt =
-                attempt_airtime_s(&frame, t.band.map(|b| b.len()).unwrap_or(1), t.data_phase);
-            airtime_s += attempt;
-            let delivered_here = fixed.delivered && i + 1 == fixed.attempts;
-            if delivered_here {
-                let rtt = attempt + params.symbol_duration_s();
-                airtime_s += params.symbol_duration_s();
-                est.observe_rtt(rtt);
-            } else if t.data_phase {
-                est.observe_loss();
-                airtime_s += est.next_wait_s();
-            }
-        }
-        ArqOutcome { airtime_s, ..fixed }
-    }
-}
-
 /// One-shot stop-and-wait delivery on a fresh [`ArqSession`] (sequence 0).
 /// Ongoing exchanges should hold a session so the alternating bit persists
 /// across messages.
@@ -503,47 +465,6 @@ mod tests {
             a.last().unwrap() > a.first().unwrap(),
             "backoff must grow waits: {a:?}"
         );
-    }
-
-    #[test]
-    fn adaptive_send_matches_fixed_on_clean_link_and_feeds_estimator() {
-        let cfg = TrialConfig::standard(
-            Environment::preset(Site::Bridge),
-            Pos::new(0.0, 0.0, 1.0),
-            Pos::new(5.0, 0.0, 1.0),
-            64,
-        );
-        let mut est = RttEstimator::new(1, 0.2, 16.0);
-        let out = ArqSession::new().send_adaptive(&cfg, 3, &mut est);
-        assert!(out.delivered);
-        assert_eq!(out.attempts, 1);
-        // the delivery fed the estimator a real RTT sample
-        assert!(est.base_rto_s() > 0.2, "rto grew from the RTT sample");
-        assert_eq!(est.backoff(), 0);
-        // clean first-try delivery pays no timeout, so the airtime matches
-        // the fixed engine exactly
-        let fixed = ArqSession::new().send(&cfg, 3);
-        assert!((out.airtime_s - fixed.airtime_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_send_backs_off_on_dead_link() {
-        // Hopeless link: every attempt fails, so each data-phase attempt
-        // pays an estimator wait and the backoff climbs.
-        let cfg = TrialConfig::standard(
-            Environment::preset(Site::Lake).with_noise_gain_db(20.0),
-            Pos::new(0.0, 0.0, 1.0),
-            Pos::new(120.0, 0.0, 1.0),
-            65,
-        );
-        let mut est = RttEstimator::new(3, 0.2, 16.0);
-        let out = ArqSession::new().send_adaptive(&cfg, 3, &mut est);
-        assert!(!out.delivered);
-        let data_attempts = out.trials.iter().filter(|t| t.data_phase).count();
-        if data_attempts > 0 {
-            assert_eq!(est.backoff() as usize, data_attempts.min(6));
-            assert!(out.airtime_s > 0.2 * data_attempts as f64);
-        }
     }
 
     #[test]

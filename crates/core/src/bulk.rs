@@ -23,11 +23,11 @@
 //!   the receiver actually needs is retransmitted, and fragments of
 //!   RS-complete generations are never chased at all).
 //!
-//! Two sender engines share that machinery (DESIGN.md §13):
+//! One sender round loop drives that machinery (DESIGN.md §13). A round
+//! releases parity, sends the burst, and solicits the block ACK; a
+//! suspend probe is the same burst-then-ACK exchange with one fragment and
+//! one ACK try. Two engines are that loop with adaptation on or off:
 //!
-//! - [`run_bulk_transfer`] — the static engine: fixed window, all parity
-//!   transmitted eagerly, fixed round budget. Predictable, and the
-//!   baseline the fault experiments compare against.
 //! - [`run_adaptive_transfer`] — the robust engine: a
 //!   [`DegradationLadder`] shrinks the window and releases per-generation
 //!   parity as the measured per-round erasure rate climbs (and recovers
@@ -36,10 +36,18 @@
 //!   link goes fully dead (a blackout), probing at backed-off intervals
 //!   instead of burning the round budget, then resuming the window where
 //!   it left off.
+//! - [`run_bulk_transfer`] — the static engine: adaptation off.
+//!   Predictable, and the baseline the fault experiments compare against.
+//!   It differs from the adaptive engine in four places only: every
+//!   parity fragment is released at the start (so parity release is a
+//!   no-op and the ladder's level-0 window is the configured one); each
+//!   round tries its block ACK once; seeds are keyed by round rather than
+//!   by a per-exchange counter; and there is no ladder, dead-round or
+//!   suspend logic.
 //!
 //! Time-varying impairments come from the [`aqua_channel::fault`] layer:
-//! both engines advance a session clock (airtime + suspension waits) and
-//! evaluate the configured [`FaultSchedule`] on it, so a 30 s blackout in
+//! the loop advances one session clock (airtime + suspension waits) and
+//! evaluates the configured [`FaultSchedule`] on it, so a 30 s blackout in
 //! schedule time covers exactly the packets whose exchanges overlap it.
 //!
 //! Airtime accounting matches [`crate::arq`]: every forward attempt pays
@@ -287,17 +295,6 @@ impl BlockAck {
     }
 }
 
-/// Rejects degenerate engine knobs with a typed error.
-fn validate(cfg: &BulkConfig) -> Result<(), BulkError> {
-    if cfg.window == 0 {
-        return Err(BulkError::ZeroWindow);
-    }
-    if cfg.max_rounds == 0 {
-        return Err(BulkError::ZeroRounds);
-    }
-    Ok(())
-}
-
 /// The receiver's current block ACK.
 fn build_ack(reasm: &Reassembler, window: usize, total_frags: u16) -> BlockAck {
     let needed = reasm.missing();
@@ -309,60 +306,6 @@ fn build_ack(reasm: &Reassembler, window: usize, total_frags: u16) -> BlockAck {
             .map(|i| needed.binary_search(&(base + i)).is_ok())
             .collect(),
     }
-}
-
-/// One forward fragment exchange at session time `now_s`: a full packet
-/// trial carrying the fragment, fed to the reassembler. Returns whether
-/// the receiver heard it (fresh or duplicate) and the airtime paid.
-#[allow(clippy::too_many_arguments)]
-fn send_fragment(
-    cfg: &BulkConfig,
-    frag: &Fragment,
-    seed: u64,
-    now_s: f64,
-    force_lose: bool,
-    reasm: &mut Reassembler,
-    out: &mut BulkOutcome,
-) -> (bool, f64) {
-    let mut t = cfg.base.clone();
-    t.payload = frag.to_bits();
-    t.frame.payload_bits = t.payload.len();
-    t.seed = seed;
-    t.faults = cfg.faults.clone();
-    t.start_s = now_s;
-    let trial = run_trial(&t);
-    out.packets_sent += 1;
-    let air = attempt_airtime_s(
-        &t.frame,
-        trial.band.map(|b| b.len()).unwrap_or(1),
-        trial.data_phase,
-    );
-    out.airtime_s += air;
-    let parsed = trial
-        .bits
-        .filter(|_| !force_lose)
-        .and_then(|b| Fragment::from_bits(&b));
-    let heard = match parsed {
-        Some(f) => match reasm.accept(&f) {
-            Accept::Fresh => {
-                out.packets_delivered += 1;
-                true
-            }
-            Accept::Duplicate => {
-                out.duplicates += 1;
-                true
-            }
-            Accept::Invalid => {
-                out.erasures += 1;
-                false
-            }
-        },
-        None => {
-            out.erasures += 1;
-            false
-        }
-    };
-    (heard, air)
 }
 
 /// The block-ACK exchange on the reverse link at session time `now_s`.
@@ -472,67 +415,7 @@ pub fn run_bulk_transfer_with_faults(
     data: &[u8],
     lose: impl Fn(usize, u16) -> bool,
 ) -> Result<BulkOutcome, BulkError> {
-    validate(cfg)?;
-    let plan = TransferPlan::try_new(data.len(), cfg.params)?;
-    let frags = plan.segment(data);
-    let total = plan.total_frags() as u16;
-
-    let mut pending: Vec<u16> = (0..total).collect();
-    let all_released = vec![true; total as usize];
-    let mut reasm = Reassembler::new(plan);
-    let mut out = BulkOutcome::start();
-
-    let mut sender_done = false;
-    while out.rounds < cfg.max_rounds && !sender_done && !pending.is_empty() {
-        let round = out.rounds;
-        out.rounds += 1;
-        let burst: Vec<u16> = pending.iter().take(cfg.window).copied().collect();
-
-        // ---- forward burst: one full packet exchange per fragment ----
-        for &seq in &burst {
-            let seed = cfg
-                .base
-                .seed
-                .wrapping_add(0x9E37_79B9 * (1 + round as u64))
-                .wrapping_add(7919 * seq as u64);
-            let now_s = out.airtime_s;
-            send_fragment(
-                cfg,
-                &frags[seq as usize],
-                seed,
-                now_s,
-                lose(round, seq),
-                &mut reasm,
-                &mut out,
-            );
-        }
-
-        // ---- block ACK on the reverse link ----
-        let ack = build_ack(&reasm, cfg.window, total);
-        let (decoded, ack_air) = block_ack_exchange(
-            cfg,
-            &ack,
-            cfg.base.seed ^ 0xB10C ^ ((round as u64) << 17),
-            out.airtime_s,
-        );
-        out.airtime_s += ack_air;
-        match decoded {
-            Some(ack) => {
-                if ack.done {
-                    sender_done = true;
-                }
-                apply_ack(&mut pending, &ack, total, &all_released);
-            }
-            None => out.acks_lost += 1,
-        }
-    }
-
-    out.delivered = reasm.assemble();
-    if let Some(d) = &out.delivered {
-        out.goodput_bps = d.len() as f64 * 8.0 / out.airtime_s;
-        out.reason = BulkReason::Completed;
-    }
-    Ok(out)
+    run_rounds(cfg, data, false, &lose)
 }
 
 /// Graceful-degradation ladder: maps the measured per-round erasure rate
@@ -616,76 +499,202 @@ impl DegradationLadder {
 /// See the module docs for the protocol; [`BulkOutcome::reason`] reports
 /// how the run ended.
 pub fn run_adaptive_transfer(cfg: &BulkConfig, data: &[u8]) -> Result<BulkOutcome, BulkError> {
-    validate(cfg)?;
-    let plan = TransferPlan::try_new(data.len(), cfg.params)?;
-    let frags = plan.segment(data);
-    let total = plan.total_frags() as u16;
+    run_rounds(cfg, data, true, &|_, _| false)
+}
 
-    // Pending starts as the data fragments only: parity is released by
-    // the ladder (eagerly, under degradation) or by explicit receiver
-    // demand through the ACK need bitmap.
-    let mut pending: Vec<u16> = (0..plan.generations())
-        .flat_map(|g| {
-            let s = plan.gen_start(g);
-            (s..s + plan.gen_data_count(g)).map(|q| q as u16)
-        })
-        .collect();
-    let mut released: Vec<bool> = vec![false; plan.total_frags()];
-    for &s in &pending {
-        released[s as usize] = true;
-    }
-    let mut sent: Vec<u32> = vec![0; plan.total_frags()];
+/// The sender's side of one transfer, shared by window rounds and
+/// suspend probes.
+struct Sender<'a> {
+    cfg: &'a BulkConfig,
+    /// The loss hook of [`run_bulk_transfer_with_faults`].
+    lose: &'a dyn Fn(usize, u16) -> bool,
+    plan: TransferPlan,
+    frags: Vec<Fragment>,
+    /// Released sequence numbers not yet acknowledged, ascending.
+    pending: Vec<u16>,
+    /// Every data fragment, and parity once released.
+    released: Vec<bool>,
+    /// Forward transmissions per sequence number.
+    sent: Vec<u32>,
+    reasm: Reassembler,
+    est: RttEstimator,
+    out: BulkOutcome,
+    /// The session clock the fault schedule is evaluated on: airtime plus
+    /// suspension waits, summed in send order.
+    now_s: f64,
+    /// A decoded block ACK reported the payload complete.
+    done: bool,
+    /// The adaptive engine's per-exchange seed counter, so no seed repeats
+    /// across rounds, probes or ladder reshuffles; `None` keys every seed
+    /// by round (the static engine).
+    seed_counter: Option<u64>,
+}
 
-    let mut reasm = Reassembler::new(plan);
-    let mut ladder = DegradationLadder::new();
-    let mut est = RttEstimator::new(cfg.base.seed ^ 0xADA7, MIN_RTO_S, MAX_RTO_S);
-    let mut out = BulkOutcome::start();
-    let mut now_s = 0.0f64;
-    let mut sender_done = false;
-    let mut dead_rounds = 0usize;
-    let mut blackout_abort = false;
-    // Unique per-exchange counter: fragment and ACK seeds never repeat
-    // across rounds, probes, or ladder reshuffles.
-    let mut exchange = 0u64;
-
-    while !sender_done && !pending.is_empty() {
-        if out.rounds >= cfg.max_rounds {
-            break;
-        }
-        out.rounds += 1;
-
-        // ---- parity release: ladder (eager) + receiver demand ----
-        // Eager: under degradation, incomplete generations get parity up
-        // front. Demand-driven: a fragment that has been sent twice and
-        // is still pending keeps dying on this channel — answer with the
-        // generation's full parity (seed/placement diversity) instead of
-        // more identical copies.
-        let eager = ladder.eager_parity(cfg.params.parity);
-        let mut release = vec![0usize; plan.generations()];
-        for &s in pending.iter() {
-            if let Some((g, _)) = plan.locate(s as usize) {
-                let want = if sent[s as usize] >= 2 {
-                    cfg.params.parity
-                } else {
-                    eager
-                };
-                release[g] = release[g].max(want);
+impl Sender<'_> {
+    /// Seed key of the next exchange: the next counter value, or the
+    /// static engine's `round_key`.
+    fn seed_key(&mut self, round_key: u64) -> u64 {
+        match &mut self.seed_counter {
+            Some(n) => {
+                *n += 1;
+                *n
             }
+            None => round_key,
         }
-        for (g, &count) in release.iter().enumerate() {
-            let pstart = plan.gen_start(g) + plan.gen_data_count(g);
-            for seq in pstart..pstart + count.min(cfg.params.parity) {
-                if !released[seq] {
-                    released[seq] = true;
+    }
+
+    /// Releases parity into `pending`: the ladder's `eager` share of each
+    /// incomplete generation, or all of its parity once one of its pending
+    /// fragments has been sent twice — that fragment keeps dying on this
+    /// channel, so answer with seed and placement diversity instead of more
+    /// identical copies. A no-op once all parity is released.
+    fn release_parity(&mut self, eager: usize) {
+        let parity = self.cfg.params.parity;
+        for s in self.pending.clone() {
+            let Some((g, _)) = self.plan.locate(s as usize) else {
+                continue;
+            };
+            let want = if self.sent[s as usize] < 2 {
+                eager
+            } else {
+                parity
+            };
+            let pstart = self.plan.gen_start(g) + self.plan.gen_data_count(g);
+            for seq in pstart..pstart + want {
+                if !self.released[seq] {
+                    self.released[seq] = true;
                     let s = seq as u16;
-                    if let Err(pos) = pending.binary_search(&s) {
-                        pending.insert(pos, s);
+                    if let Err(pos) = self.pending.binary_search(&s) {
+                        self.pending.insert(pos, s);
                     }
                 }
             }
         }
+    }
 
-        // ---- forward burst at the ladder's window ----
+    /// One forward fragment exchange on the session clock: a full packet
+    /// trial carrying fragment `seq`, fed to the reassembler unless `lost`.
+    /// Returns whether the receiver heard it (fresh or duplicate).
+    fn send(&mut self, seq: u16, seed: u64, lost: bool) -> bool {
+        let mut t = self.cfg.base.clone();
+        t.payload = self.frags[seq as usize].to_bits();
+        t.frame.payload_bits = t.payload.len();
+        t.seed = seed;
+        t.faults = self.cfg.faults.clone();
+        t.start_s = self.now_s;
+        let trial = run_trial(&t);
+        let band_bins = trial.band.map(|b| b.len()).unwrap_or(1);
+        let air = attempt_airtime_s(&t.frame, band_bins, trial.data_phase);
+        self.out.packets_sent += 1;
+        self.out.airtime_s += air;
+        self.now_s += air;
+        self.sent[seq as usize] += 1;
+        let accept = (trial.bits)
+            .filter(|_| !lost)
+            .and_then(|b| Fragment::from_bits(&b))
+            .map(|f| self.reasm.accept(&f));
+        match accept {
+            Some(Accept::Fresh) => self.out.packets_delivered += 1,
+            Some(Accept::Duplicate) => self.out.duplicates += 1,
+            Some(Accept::Invalid) | None => self.out.erasures += 1,
+        }
+        matches!(accept, Some(Accept::Fresh | Accept::Duplicate))
+    }
+
+    /// A forward burst, then up to `ack_tries` block-ACK exchanges on the
+    /// reverse link: what every window round and every suspend probe is
+    /// made of. Returns how many burst fragments the receiver heard and
+    /// whether a block ACK decoded.
+    fn exchange(&mut self, burst: &[u16], ack_tries: usize, round: usize) -> (usize, bool) {
+        let start_s = self.now_s;
+        let mut heard = 0;
+        for &seq in burst {
+            let key = self.seed_key(round as u64 + 1);
+            let seed = (self.cfg.base.seed)
+                .wrapping_add(0x9E37_79B9u64.wrapping_mul(key))
+                .wrapping_add(7919 * seq as u64);
+            heard += usize::from(self.send(seq, seed, (self.lose)(round, seq)));
+        }
+        let total = self.plan.total_frags() as u16;
+        let ack = build_ack(&self.reasm, self.cfg.window, total);
+        let mut decoded = None;
+        for _ in 0..ack_tries {
+            let link_seed = self.cfg.base.seed ^ 0xB10C ^ (self.seed_key(round as u64) << 17);
+            let (d, air) = block_ack_exchange(self.cfg, &ack, link_seed, self.now_s);
+            self.out.airtime_s += air;
+            self.now_s += air;
+            decoded = d;
+            if decoded.is_some() {
+                break;
+            }
+            self.out.acks_lost += 1;
+        }
+        match &decoded {
+            Some(a) => {
+                self.est.observe_rtt(self.now_s - start_s);
+                self.done |= a.done;
+                apply_ack(&mut self.pending, a, total, &self.released);
+            }
+            None => self.est.observe_loss(),
+        }
+        (heard, decoded.is_some())
+    }
+}
+
+/// The sender round loop behind both engines. The static engine is this
+/// loop with `adaptive` off: all parity released up front, one block-ACK
+/// try per round, seeds keyed by round, and no ladder, dead-round or
+/// suspend logic.
+fn run_rounds(
+    cfg: &BulkConfig,
+    data: &[u8],
+    adaptive: bool,
+    lose: &dyn Fn(usize, u16) -> bool,
+) -> Result<BulkOutcome, BulkError> {
+    if cfg.window == 0 {
+        return Err(BulkError::ZeroWindow);
+    }
+    if cfg.max_rounds == 0 {
+        return Err(BulkError::ZeroRounds);
+    }
+    let plan = TransferPlan::try_new(data.len(), cfg.params)?;
+    // The adaptive engine starts with the data fragments only: parity is
+    // released by the ladder (eagerly, under degradation) or by explicit
+    // receiver demand through the ACK need bitmap.
+    let mut released = vec![!adaptive; plan.total_frags()];
+    for g in 0..plan.generations() {
+        let s = plan.gen_start(g);
+        released[s..s + plan.gen_data_count(g)].fill(true);
+    }
+    let mut tx = Sender {
+        cfg,
+        lose,
+        plan,
+        frags: plan.segment(data),
+        pending: (0..plan.total_frags() as u16)
+            .filter(|&s| released[s as usize])
+            .collect(),
+        released,
+        sent: vec![0; plan.total_frags()],
+        reasm: Reassembler::new(plan),
+        est: RttEstimator::new(cfg.base.seed ^ 0xADA7, MIN_RTO_S, MAX_RTO_S),
+        out: BulkOutcome::start(),
+        now_s: 0.0,
+        done: false,
+        seed_counter: adaptive.then_some(0),
+    };
+    // A lost ACK wastes the whole round (the window gets resent to a
+    // receiver that already has it); the adaptive engine's one retry costs
+    // two orders of magnitude less airtime than that.
+    let ack_tries = if adaptive { 2 } else { 1 };
+    let mut ladder = DegradationLadder::new();
+    let mut dead_rounds = 0usize;
+    let mut blackout = false;
+
+    while !tx.done && !tx.pending.is_empty() && tx.out.rounds < cfg.max_rounds {
+        let round = tx.out.rounds;
+        tx.out.rounds += 1;
+        tx.release_parity(ladder.eager_parity(cfg.params.parity));
         // After a fully dead round, the next round is a 2-fragment
         // canary: confirming the outage costs 2 packets, not a window.
         let win = if dead_rounds > 0 {
@@ -693,138 +702,50 @@ pub fn run_adaptive_transfer(cfg: &BulkConfig, data: &[u8]) -> Result<BulkOutcom
         } else {
             ladder.window(cfg.window)
         };
-        let burst: Vec<u16> = pending.iter().take(win).copied().collect();
-        let round_start_s = now_s;
-        let mut heard_count = 0usize;
-        for &seq in &burst {
-            exchange += 1;
-            let seed = cfg
-                .base
-                .seed
-                .wrapping_add(0x9E37_79B9u64.wrapping_mul(exchange))
-                .wrapping_add(7919 * seq as u64);
-            let (heard, air) = send_fragment(
-                cfg,
-                &frags[seq as usize],
-                seed,
-                now_s,
-                false,
-                &mut reasm,
-                &mut out,
-            );
-            now_s += air;
-            sent[seq as usize] += 1;
-            if heard {
-                heard_count += 1;
-            }
+        let burst: Vec<u16> = tx.pending.iter().take(win).copied().collect();
+        let (heard, ack_ok) = tx.exchange(&burst, ack_tries, round);
+        if !adaptive {
+            continue;
         }
 
-        // ---- block ACK, with one re-solicitation on loss ----
-        // A lost ACK wastes the whole round (the window gets resent to a
-        // receiver that already has it); one retry costs two orders of
-        // magnitude less airtime than that.
-        let ack = build_ack(&reasm, cfg.window, total);
-        let mut decoded = None;
-        for _ in 0..2 {
-            exchange += 1;
-            let (d, ack_air) =
-                block_ack_exchange(cfg, &ack, cfg.base.seed ^ 0xB10C ^ (exchange << 17), now_s);
-            out.airtime_s += ack_air;
-            now_s += ack_air;
-            if d.is_some() {
-                decoded = d;
-                break;
-            }
-            out.acks_lost += 1;
-        }
-        let ack_ok = decoded.is_some();
-        match decoded {
-            Some(a) => {
-                est.observe_rtt(now_s - round_start_s);
-                if a.done {
-                    sender_done = true;
-                }
-                apply_ack(&mut pending, &a, total, &released);
-            }
-            None => est.observe_loss(),
-        }
         // ---- dead-link detection → suspend/resume ----
         // A fully dead round (nothing heard, no ACK) is an *outage*, not
         // congestion: it feeds the suspension logic, never the ladder —
         // otherwise a blackout would crush the window and the transfer
         // would crawl long after the link came back.
-        if heard_count == 0 && !ack_ok {
+        if heard == 0 && !ack_ok {
             dead_rounds += 1;
         } else {
             dead_rounds = 0;
-            let erasure_rate = 1.0 - heard_count as f64 / burst.len().max(1) as f64;
-            ladder.observe_round(erasure_rate, ack_ok);
+            ladder.observe_round(1.0 - heard as f64 / burst.len().max(1) as f64, ack_ok);
         }
-        if dead_rounds >= SUSPEND_AFTER_DEAD_ROUNDS && !sender_done {
-            out.suspensions += 1;
+        if dead_rounds >= SUSPEND_AFTER_DEAD_ROUNDS {
+            tx.out.suspensions += 1;
             let mut resumed = false;
-            while out.probes < PROBE_BUDGET {
-                // park: no airtime, just a backed-off, jittered wait
-                let wait = est.next_wait_s();
-                now_s += wait;
-                out.suspended_s += wait;
-                out.probes += 1;
-
-                // probe: one fragment plus one block-ACK exchange
-                let probe_start_s = now_s;
-                let seq = pending[0];
-                exchange += 1;
-                let seed = cfg
-                    .base
-                    .seed
-                    .wrapping_add(0x9E37_79B9u64.wrapping_mul(exchange))
-                    .wrapping_add(7919 * seq as u64);
-                let (_, air) = send_fragment(
-                    cfg,
-                    &frags[seq as usize],
-                    seed,
-                    now_s,
-                    false,
-                    &mut reasm,
-                    &mut out,
-                );
-                now_s += air;
-                sent[seq as usize] += 1;
-                exchange += 1;
-                let ack = build_ack(&reasm, cfg.window, total);
-                let (probe_ack, probe_air) =
-                    block_ack_exchange(cfg, &ack, cfg.base.seed ^ 0xB10C ^ (exchange << 17), now_s);
-                out.airtime_s += probe_air;
-                now_s += probe_air;
-                match probe_ack {
-                    Some(a) => {
-                        est.observe_rtt(now_s - probe_start_s);
-                        if a.done {
-                            sender_done = true;
-                        }
-                        apply_ack(&mut pending, &a, total, &released);
-                        resumed = true;
-                        break;
-                    }
-                    None => {
-                        out.acks_lost += 1;
-                        est.observe_loss();
-                    }
-                }
+            while !resumed && tx.out.probes < PROBE_BUDGET {
+                // park: no airtime, just a backed-off, jittered wait; then
+                // probe with one fragment and one block-ACK try
+                let wait = tx.est.next_wait_s();
+                tx.now_s += wait;
+                tx.out.suspended_s += wait;
+                tx.out.probes += 1;
+                let seq = tx.pending[0];
+                resumed = tx.exchange(&[seq], 1, round).1;
             }
             if !resumed {
-                blackout_abort = true;
+                blackout = true;
                 break;
             }
             dead_rounds = 0;
         }
     }
 
-    out.delivered = reasm.assemble();
+    let mut out = tx.out;
+    out.delivered = tx.reasm.assemble();
     out.reason = if out.delivered.is_some() {
         out.goodput_bps = data.len() as f64 * 8.0 / out.airtime_s;
         BulkReason::Completed
-    } else if blackout_abort {
+    } else if blackout {
         BulkReason::Blackout
     } else {
         BulkReason::RoundBudget

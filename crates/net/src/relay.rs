@@ -35,6 +35,7 @@ use crate::frame::Frame;
 use crate::journal::{Journal, JournalConfig, JournalStats, Record};
 use crate::queue::{CustodyState, DupFilter, InsertOutcome, StoreQueue, StoredBundle};
 use crate::recovery::recover;
+use aqua_proto::transfer::PlanError;
 use aquapp::arq::RttEstimator;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -888,7 +889,9 @@ fn snapshot_records(
 }
 
 /// Convenience: sources one application message into `node` with the
-/// node's configured spray budget.
+/// node's configured spray budget. Returns how many bundles the queue
+/// stored, or the fragmentation error (an empty or oversized payload, a
+/// zero fragment size) with nothing queued.
 #[allow(clippy::too_many_arguments)]
 pub fn source_message(
     node: &mut RelayNode,
@@ -899,13 +902,13 @@ pub fn source_message(
     payload: &[u8],
     frag_bytes: u8,
     now_s: f64,
-) -> usize {
+) -> Result<usize, PlanError> {
     let copies = if node.cfg.direct {
         1
     } else {
         node.cfg.spray_copies
     };
-    match crate::bundle::fragment_message(
+    let bundles = crate::bundle::fragment_message(
         node.addr,
         dst,
         seq,
@@ -915,10 +918,8 @@ pub fn source_message(
         copies,
         payload,
         frag_bytes,
-    ) {
-        Ok(bundles) => node.source(bundles, now_s),
-        Err(_) => 0,
-    }
+    )?;
+    Ok(node.source(bundles, now_s))
 }
 
 #[cfg(test)]
@@ -959,7 +960,7 @@ mod tests {
         );
         assert_eq!(
             source_message(&mut a, 1, 0, Priority::Chat, 600, &[1, 2, 3, 4, 5], 4, 0.0),
-            2
+            Ok(2)
         );
         let got = pump(&mut a, &mut b, 10.0, &[1]);
         assert!(got.is_empty(), "one fragment is not a message");
@@ -976,6 +977,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_payload_is_a_typed_error_and_queues_nothing() {
+        let mut a = RelayNode::new(0, cfg(), 1);
+        assert_eq!(
+            source_message(&mut a, 1, 0, Priority::Chat, 600, &[], 4, 0.0),
+            Err(PlanError::EmptyTransfer)
+        );
+        assert_eq!(a.queue_len(), 0);
+    }
+
+    #[test]
     fn lost_ack_triggers_rto_retry_and_duplicate_is_reacked() {
         let mut a = RelayNode::new(0, cfg(), 1);
         let mut b = RelayNode::new(1, cfg(), 2);
@@ -988,7 +999,7 @@ mod tests {
             }),
             0.0,
         );
-        source_message(&mut a, 1, 0, Priority::Sos, 600, &[7; 3], 4, 0.0);
+        source_message(&mut a, 1, 0, Priority::Sos, 600, &[7; 3], 4, 0.0).expect("valid payload");
         let (_, f1) = a.next_frame(0.0, &[1]).unwrap();
         let got = b.on_frame(0, f1, 1.0);
         assert_eq!(got.len(), 1, "single-fragment message completes");
@@ -1027,7 +1038,7 @@ mod tests {
                 0.0,
             );
         }
-        source_message(&mut a, 9, 0, Priority::Chat, 600, &[1], 4, 0.0);
+        source_message(&mut a, 9, 0, Priority::Chat, 600, &[1], 4, 0.0).expect("valid payload");
         let (dest, f) = a.next_frame(1.0, &[1, 2]).unwrap();
         assert_eq!(dest, 1, "first fresh neighbor in address order");
         let Frame::Bundle(w) = f else {

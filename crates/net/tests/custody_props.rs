@@ -104,7 +104,7 @@ proptest! {
     ) {
         let mut a = RelayNode::new(0, cfg(), 1);
         hear(&mut a, 1, 0.0);
-        source_message(&mut a, 9, 0, Priority::Chat, 600, &[7; 4], 4, 0.0);
+        source_message(&mut a, 9, 0, Priority::Chat, 600, &[7; 4], 4, 0.0).expect("valid payload");
         let (dest, f) = a.next_frame(1.0, &[1]).expect("sprays to the relay");
         prop_assert_eq!(dest, 1u16);
         prop_assert!(matches!(f, Frame::Bundle(_)));
@@ -162,7 +162,7 @@ proptest! {
         );
         let mut r = RelayNode::new(1, cfg(), 2);
         hear(&mut a, 1, 0.0);
-        source_message(&mut a, 9, 0, Priority::Chat, 600, &payload, 16, 0.0);
+        source_message(&mut a, 9, 0, Priority::Chat, 600, &payload, 16, 0.0).expect("valid payload");
         let (dest, f) = a.next_frame(1.0, &[1]).expect("sprays");
         prop_assert_eq!(dest, 1u16);
         let Frame::Bundle(wire) = f.clone() else { panic!("expected bundle") };

@@ -49,7 +49,8 @@ fn apply_op(node: &mut RelayNode, entropy: u64, step: usize) {
             // Unique per step: the application contract (and the sim's
             // traffic planner) never reuses a source sequence number.
             let app_seq = 1000 + step as u16;
-            source_message(node, 9, app_seq, Priority::Chat, 600, &payload, 16, now_s);
+            source_message(node, 9, app_seq, Priority::Chat, 600, &payload, 16, now_s)
+                .expect("valid payload");
         }
         1 => {
             // A custody bundle relayed through us (dst 9, not our addr).

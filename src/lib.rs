@@ -3,7 +3,7 @@
 //! the real APIs:
 //!
 //! - [`aqua_dsp`] — DSP substrate (FFT, FIR, correlation, solvers).
-//! - [`aqua_coding`] — convolutional/Viterbi, interleaving, differential.
+//! - [`aqua_coding`] — convolutional/Viterbi, interleaving, Reed–Solomon, CRCs.
 //! - [`aqua_channel`] — the underwater channel simulator.
 //! - [`aqua_phy`] — the adaptive OFDM physical layer (the paper's core).
 //! - [`aqua_mac`] — carrier-sense MAC.
