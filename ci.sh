@@ -180,4 +180,32 @@ if [ "$ELAPSED" -gt 60 ]; then
 fi
 echo "throughput-smoke ok: repro all quick in ${ELAPSED}s (budget 60 s)"
 
+echo "==> scaling gate: relay and recovery standard at 1 and 2 workers"
+# The relay tier flushes one or two receptions through the pool before
+# every transmission decision. When every pool call spawned its workers,
+# 2 workers ran relay ~3.2x and recovery ~3.6x slower than 1 on 2 vCPUs;
+# now a call forks only once its items outlast a thread spawn
+# (aqua_par::FORK_AFTER), and the ratio is ~0.9-1.3x. A 2-worker run must
+# print the same tables as the 1-worker run and take at most twice as long.
+scaling_gate() {
+  local exp="$1" t0 t1 t2 out1 out2
+  t0=$(date +%s%N)
+  out1=$(AQUA_PAR_THREADS=1 cargo run -q -p aqua-eval --release --bin repro -- "$exp" standard)
+  t1=$(date +%s%N)
+  out2=$(AQUA_PAR_THREADS=2 cargo run -q -p aqua-eval --release --bin repro -- "$exp" standard)
+  t2=$(date +%s%N)
+  if [ "$out1" != "$out2" ]; then
+    echo "scaling-gate FAIL: repro $exp standard prints different tables at 1 and 2 workers"
+    diff <(echo "$out1") <(echo "$out2") | head -20
+    exit 1
+  fi
+  awk -v a="$(((t1 - t0) / 1000000))" -v b="$(((t2 - t1) / 1000000))" -v e="$exp" 'BEGIN {
+    r = b / a
+    if (r > 2) { printf "scaling-gate FAIL: %s standard %.1f s on 2 workers > 2x %.1f s on 1\n", e, b / 1e3, a / 1e3; exit 1 }
+    printf "scaling-gate ok: %s standard %.1f s on 2 workers, %.1f s on 1 (%.2fx, limit 2x)\n", e, b / 1e3, a / 1e3, r
+  }'
+}
+scaling_gate relay
+scaling_gate recovery
+
 echo "CI green."

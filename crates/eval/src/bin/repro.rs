@@ -7,10 +7,12 @@
 //!   repro fig9 full         # the environments experiment at paper scale
 //!   repro list              # list available experiments
 //!
-//! Bad input (an unknown experiment or size, or an extra argument) exits
-//! with status 2 before any experiment starts.
+//! Bad input (an unknown experiment or size, an extra argument, or an
+//! `AQUA_PAR_THREADS` that is not a worker count) exits with status 2
+//! before any experiment starts.
 
 use aqua_eval::{engine, experiment, RunSize, EXPERIMENTS};
+use aqua_par::Pool;
 use std::process::exit;
 
 const USAGE: &str = "usage: repro [list|all|<experiment>] [quick|standard|full]";
@@ -45,6 +47,10 @@ fn main() {
         },
     };
 
+    if let Err(e) = Pool::try_from_env() {
+        eprintln!("{e}");
+        exit(2);
+    }
     let eng = engine::global();
     for e in selected {
         let trials_before = eng.trials_run();

@@ -15,7 +15,11 @@
 //!
 //! **Sizing.** Worker count comes from [`aqua_par::THREADS_ENV`]
 //! (`AQUA_PAR_THREADS`), defaulting to all available cores; `1` forces the
-//! serial fallback (no threads spawned at all).
+//! serial fallback (no threads spawned at all), and `repro` rejects a
+//! value that is not a worker count. A fan-out starts on the calling
+//! thread, which works beside its spawned workers once the items have run
+//! past [`aqua_par::FORK_AFTER`], about one thread spawn; after a fan-out
+//! that ran that long, the next one forks before its first item.
 //!
 //! **Accounting.** The engine counts trials executed so the `repro` binary
 //! can report per-figure throughput (trials/s) next to wall-clock.

@@ -172,6 +172,12 @@ struct OceanHooks<'a> {
 }
 
 impl<'a> OceanHooks<'a> {
+    /// Resolves the buffered receptions through the pool and folds them
+    /// into the stats in item order. A full batch runs for milliseconds:
+    /// the first one forks once this thread has spent
+    /// [`aqua_par::FORK_AFTER`] on it, and since the pool remembers that,
+    /// later ones fork before their first reception. This thread resolves
+    /// beside the workers either way.
     fn flush(&mut self) {
         if self.pending.is_empty() {
             return;

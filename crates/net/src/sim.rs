@@ -338,7 +338,12 @@ impl RelayHooks<'_> {
     /// Resolves buffered receptions in parallel and applies them to the
     /// relays in item order — called before every transmission decision
     /// and at the batch threshold, so flush points (and therefore every
-    /// relay's input sequence) are identical for every pool size.
+    /// relay's input sequence) are identical for every pool size. A flush
+    /// before a transmission usually holds one or two receptions, which
+    /// resolve inside [`aqua_par::FORK_AFTER`] and so never leave this
+    /// thread. A flush that runs longer (a full batch, or receptions that
+    /// need sample-level probe renders) forks workers, and so does the one
+    /// flush after it, before the pool sees that flushes are short again.
     fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
