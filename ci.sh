@@ -111,21 +111,25 @@ echo "==> fault injection: determinism + block-ACK fuzz + blackout acceptance"
 cargo test -q -p aqua-channel --release --test fault_determinism
 cargo test -q -p aquapp --release --test ack_fuzz --test bulk_faults --test bulk_pinned
 
-echo "==> DTN relay: frame fuzz + custody props + determinism + acceptance"
+echo "==> DTN relay: frame fuzz + custody props + determinism + pinned + acceptance"
 # PR 9 contracts, run in release where the fuzz case counts and the
 # multi-hour simulated acceptance runs are cheap: the bundle/beacon/
 # custody-ACK parsers must reject every corrupted bitstream, custody
 # must never double-accept or double-deliver and the spray arithmetic
 # must conserve the copy budget; relay-enabled churned runs must be
-# bit-identical across 1/2/4-worker pools; hooks-disabled ocean runs
-# must still reproduce the pre-relay pinned baselines float-for-float
-# (covered by ocean_determinism above); a 2 KB payload must cross a
-# 3-hop chain bit-exact while the middle relay churns mid-custody; and
-# a partitioned swarm must deliver through a surfacing gateway where
-# direct transmission provably cannot.
+# bit-identical across 1/2/4-worker pools; relay_pinned pins every
+# RelayOceanResult field (floats by bit pattern) of four runs — the
+# churned grid, the same grid crashing with journals, the same grid in
+# direct mode, and an audited crashing line with its FleetAudit — so a
+# change that moves every pool size the same way still fails;
+# hooks-disabled ocean runs must still reproduce the pre-relay pinned
+# baselines float-for-float (covered by ocean_determinism above); a 2 KB
+# payload must cross a 3-hop chain bit-exact while the middle relay
+# churns mid-custody; and a partitioned swarm must deliver through a
+# surfacing gateway where direct transmission provably cannot.
 cargo test -q -p aqua-net --release \
   --test frame_fuzz --test custody_props \
-  --test relay_determinism --test relay_acceptance
+  --test relay_determinism --test relay_pinned --test relay_acceptance
 
 echo "==> crash recovery: chaos sweep + journal fuzz + recovery props"
 # PR 10 contracts, run in release where the 32-schedule chaos sweep and

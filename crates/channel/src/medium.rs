@@ -76,11 +76,6 @@ impl Medium {
         id
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn link_for(&mut self, from: NodeId, to: NodeId) -> &mut Link {
         let fs = self.fs;
         let env = self.env.clone();
@@ -146,12 +141,6 @@ impl Medium {
                 sig + self.noise_tapes[node][idx]
             })
             .collect()
-    }
-
-    /// Length of the longest receive tape (diagnostic; the horizon up to
-    /// which signal has been rendered).
-    pub fn rendered_horizon(&self) -> usize {
-        self.rx_tapes.iter().map(|t| t.len()).max().unwrap_or(0)
     }
 }
 

@@ -451,11 +451,6 @@ impl DegradationLadder {
         self.level
     }
 
-    /// The smoothed per-round erasure rate driving the ladder.
-    pub fn erasure_ewma(&self) -> f64 {
-        self.ewma
-    }
-
     /// Feeds one round's measurement: the fraction of the burst that was
     /// erased, and whether the block ACK was decodable. A lost ACK is
     /// indistinguishable from total loss and is treated as such.

@@ -7,7 +7,6 @@
 //! examples and app-level tests.
 
 use crate::trial::{run_trial, Scheme, TrialConfig, TrialResult};
-use aqua_channel::device::Device;
 use aqua_channel::environments::Environment;
 use aqua_channel::geometry::Pos;
 use aqua_channel::medium::{Medium, NodeId};
@@ -146,19 +145,12 @@ impl Messenger {
             .unwrap_or_default();
         SendOutcome { trial, received }
     }
-
-    /// The devices used by trials (for display purposes).
-    pub fn device_pair(&self) -> (Device, Device) {
-        (
-            Device::default_rig(self.seed.wrapping_mul(3) | 1),
-            Device::default_rig(self.seed.wrapping_mul(7) | 2),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqua_channel::device::Device;
     use aqua_channel::environments::Site;
     use aqua_dsp::chirp::tone;
 

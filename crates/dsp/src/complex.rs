@@ -83,12 +83,6 @@ impl Complex {
     pub fn exp(self) -> Self {
         Self::from_polar(self.re.exp(), self.im)
     }
-
-    /// Returns `true` if either component is NaN or infinite.
-    #[inline]
-    pub fn is_non_finite(self) -> bool {
-        !(self.re.is_finite() && self.im.is_finite())
-    }
 }
 
 impl From<f64> for Complex {

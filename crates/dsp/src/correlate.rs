@@ -105,11 +105,6 @@ pub fn xcorr_normalized(signal: &[f64], template: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Complex inner product `Σ a[i]·conj(b[i])` over the overlap of two slices.
-pub fn complex_inner(a: &[Complex], b: &[Complex]) -> Complex {
-    a.iter().zip(b).map(|(x, y)| *x * y.conj()).sum()
-}
-
 /// Real inner product over the overlap of two slices.
 pub fn inner(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()

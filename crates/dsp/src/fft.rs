@@ -569,16 +569,6 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
     real_planner(signal.len()).forward_full(signal)
 }
 
-/// Convenience: forward FFT of a complex signal in place.
-pub fn fft_in_place(data: &mut [Complex]) {
-    planner(data.len()).forward(data);
-}
-
-/// Convenience: inverse FFT (normalized) of a complex signal in place.
-pub fn ifft_in_place(data: &mut [Complex]) {
-    planner(data.len()).inverse(data);
-}
-
 /// Inverse FFT returning only the real parts — used to synthesize real
 /// OFDM waveforms from Hermitian-symmetric spectra (or to take the real
 /// projection of an analytic synthesis).

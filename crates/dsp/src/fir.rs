@@ -245,104 +245,6 @@ impl PlannedConvolver {
     }
 }
 
-/// Streaming overlap-save convolution with a fixed filter: the block-based
-/// counterpart of [`PlannedConvolver`] and the fast drop-in for
-/// [`StreamingFir`] when the tap count makes direct convolution expensive.
-///
-/// Semantics match [`StreamingFir::process`]: causal output aligned with
-/// the input (group delay included), state carried across arbitrary block
-/// sizes. Each push is processed in segments of `fft_len − taps + 1`
-/// samples against the cached filter spectrum; a short final segment is
-/// zero-padded and only its valid outputs emitted, so chunking never
-/// changes the result. Output equals direct convolution to FFT rounding
-/// (~1e-12), not bit-exactly — receivers that pin golden vectors keep
-/// [`StreamingFir`].
-pub struct OverlapSaveFir {
-    taps_len: usize,
-    fft_len: usize,
-    /// Filter half-spectrum at `fft_len`.
-    filter_fd: Vec<Complex>,
-    /// Last `taps_len − 1` input samples.
-    history: Vec<f64>,
-    /// Segment scratch (time domain).
-    seg: Vec<f64>,
-    /// Segment spectrum scratch.
-    spec: Vec<Complex>,
-    /// Inverse-transform scratch.
-    inv: Vec<f64>,
-}
-
-impl OverlapSaveFir {
-    /// Plans a streaming convolver for the taps. FFT size is the smallest
-    /// power of two giving segments at least three filter lengths long.
-    pub fn new(taps: Vec<f64>) -> Self {
-        assert!(!taps.is_empty());
-        let taps_len = taps.len();
-        let fft_len = (4 * taps_len.max(64)).next_power_of_two();
-        let plan = real_planner(fft_len);
-        let mut padded = taps;
-        padded.resize(fft_len, 0.0);
-        let filter_fd = plan.forward_half(&padded);
-        Self {
-            taps_len,
-            fft_len,
-            filter_fd,
-            history: vec![0.0; taps_len - 1],
-            seg: Vec::new(),
-            spec: Vec::new(),
-            inv: Vec::new(),
-        }
-    }
-
-    /// Filters one block, maintaining state across calls; returns
-    /// `block.len()` output samples.
-    pub fn process(&mut self, block: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(block.len());
-        self.process_into(block, &mut out);
-        out
-    }
-
-    /// [`process`](OverlapSaveFir::process) into a caller-owned buffer
-    /// (cleared and refilled).
-    pub fn process_into(&mut self, block: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        let hist = self.taps_len - 1;
-        let seg_payload = self.fft_len - hist;
-        let plan = real_planner(self.fft_len);
-        let mut pos = 0;
-        while pos < block.len() {
-            let take = seg_payload.min(block.len() - pos);
-            let chunk = &block[pos..pos + take];
-            self.seg.clear();
-            self.seg.extend_from_slice(&self.history);
-            self.seg.extend_from_slice(chunk);
-            self.seg.resize(self.fft_len, 0.0);
-            plan.forward_half_into(&self.seg, &mut self.spec);
-            for (p, q) in self.spec.iter_mut().zip(&self.filter_fd) {
-                *p *= *q;
-            }
-            plan.inverse_half_into(&self.spec, &mut self.inv);
-            // Circular wrap only touches the first `hist` outputs; the
-            // next `take` are exact linear-convolution samples aligned
-            // with this chunk's inputs.
-            out.extend_from_slice(&self.inv[hist..hist + take]);
-            // New history = last `hist` samples of (history ++ chunk),
-            // which is exactly the tail of the unpadded segment.
-            let seg_used = hist + take;
-            self.history
-                .copy_from_slice(&self.seg[seg_used - hist..seg_used]);
-            pos += take;
-        }
-    }
-
-    /// Resets the carried input history to silence.
-    pub fn reset(&mut self) {
-        for v in self.history.iter_mut() {
-            *v = 0.0;
-        }
-    }
-}
-
 /// A streaming FIR filter with persistent state, for block-based real-time
 /// style processing (carrier sense, receiver front end).
 pub struct StreamingFir {
@@ -549,41 +451,6 @@ mod tests {
         assert_eq!(out.len(), 42);
         let reference = fft_convolve(&rand_vec(10, 2), conv.taps());
         assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn overlap_save_matches_streaming_fir_across_chunkings() {
-        let h = design_lowpass(65, 3000.0, 48000.0, Window::Hann);
-        let x = rand_vec(2000, 11);
-        let mut direct = StreamingFir::new(h.clone());
-        let want = direct.process(&x);
-        for chunk in [1usize, 7, 64, 481, 2000] {
-            let mut osf = OverlapSaveFir::new(h.clone());
-            let mut got = Vec::new();
-            for c in x.chunks(chunk) {
-                got.extend(osf.process(c));
-            }
-            assert_eq!(got.len(), want.len(), "chunk {chunk}");
-            for i in 0..got.len() {
-                assert!(
-                    (got[i] - want[i]).abs() < 1e-9,
-                    "chunk {chunk} sample {i}: {} vs {}",
-                    got[i],
-                    want[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn overlap_save_reset_clears_state() {
-        let mut osf = OverlapSaveFir::new(vec![0.25; 4]);
-        osf.process(&[8.0; 16]);
-        osf.reset();
-        let y = osf.process(&[0.0; 8]);
-        for v in y {
-            assert!(v.abs() < 1e-12);
-        }
     }
 
     #[test]

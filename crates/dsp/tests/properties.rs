@@ -3,7 +3,7 @@
 use aqua_dsp::complex::Complex;
 use aqua_dsp::correlate::{xcorr_valid, xcorr_valid_fft};
 use aqua_dsp::fft::{fft_real, ifft_real, planner, Fft, RealFft};
-use aqua_dsp::fir::{convolve, fft_convolve, OverlapSaveFir, PlannedConvolver};
+use aqua_dsp::fir::{convolve, fft_convolve, PlannedConvolver};
 use aqua_dsp::goertzel::goertzel;
 use aqua_dsp::stats::{percentile, qfunc};
 use aqua_dsp::window::Window;
@@ -103,24 +103,6 @@ proptest! {
         prop_assert!(PlannedConvolver::new(h.clone()).convolve(&[]).is_empty());
         prop_assert!(PlannedConvolver::new(Vec::new()).convolve(&h).is_empty());
         prop_assert!(fft_convolve(&[], &h).is_empty());
-    }
-
-    /// Streaming overlap-save convolution is chunk-invariant and matches
-    /// batch convolution (causal prefix) to FFT rounding.
-    #[test]
-    fn overlap_save_fir_matches_batch(x in signal_strategy(600), h in signal_strategy(48),
-                                      chunk in 1usize..97) {
-        let want = convolve(&x, &h);
-        let mut osf = OverlapSaveFir::new(h.clone());
-        let mut got = Vec::new();
-        for c in x.chunks(chunk) {
-            got.extend(osf.process(c));
-        }
-        prop_assert_eq!(got.len(), x.len());
-        for i in 0..got.len() {
-            prop_assert!((got[i] - want[i]).abs() < 1e-8,
-                "chunk {} sample {}: {} vs {}", chunk, i, got[i], want[i]);
-        }
     }
 
     /// FFT cross-correlation equals the direct form.

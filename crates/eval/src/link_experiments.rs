@@ -9,7 +9,6 @@ use aqua_channel::environments::{Environment, Site};
 use aqua_channel::geometry::Pos;
 use aqua_channel::link::{Link, LinkConfig};
 use aqua_channel::mobility::Trajectory;
-use aqua_coding::bits::bit_error_rate;
 use aqua_phy::bandselect::Band;
 use aqua_phy::chanest::estimate;
 use aqua_phy::frame::FrameConfig;
@@ -405,11 +404,6 @@ pub fn fig17(size: RunSize) -> String {
         table.row(row);
     }
     table.render()
-}
-
-/// Helper exposed to the BER/SNR experiment above.
-pub fn ber_between(tx: &[u8], rx: &[u8]) -> f64 {
-    bit_error_rate(tx, rx)
 }
 
 /// §5 "Messaging latency": measures median bitrates at 5 m and derives the

@@ -91,7 +91,7 @@ pub fn recovery(size: RunSize) -> String {
     for (label, crash) in intensities() {
         for durable in [false, true] {
             let mut cfg = grid_config(nodes, sim_s, flow_count);
-            cfg.crash = crash.clone();
+            cfg.crash = crash;
             cfg.journal = durable.then(JournalConfig::default);
             // TTLs must outlive the run with slack — expiry lawfully
             // ends custody and would blind the conservation oracle.

@@ -142,7 +142,7 @@ pub fn relay(size: RunSize) -> String {
     for (label, churn) in intensities() {
         for direct in [true, false] {
             let mut cfg = grid_config(nodes, sim_s, flow_count);
-            cfg.churn = churn.clone();
+            cfg.churn = churn;
             cfg.relay.direct = direct;
             cfg.traffic.ttl_s = sim_s.min(f64::from(u16::MAX)) as u16;
             let r = run_relay_ocean(&cfg, &pool);

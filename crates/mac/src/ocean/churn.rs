@@ -133,17 +133,22 @@ impl ChurnSchedule {
     /// A schedule from explicit per-node downtime intervals in slot units
     /// (scenario scripts: a single duty-cycled gateway in an otherwise
     /// always-on fleet, a relay failing mid-custody). Intervals must be
-    /// disjoint, ascending and within `max_slots`.
-    pub fn from_intervals(down: Vec<Vec<(u64, u64)>>, max_slots: u64) -> Self {
-        for iv in &down {
-            for w in iv.windows(2) {
-                assert!(w[0].1 < w[1].0, "intervals must be disjoint ascending");
-            }
+    /// non-empty, disjoint, ascending and within `max_slots`; the first
+    /// one that is not comes back as `(node, start, end)`.
+    pub fn from_intervals(
+        down: Vec<Vec<(u64, u64)>>,
+        max_slots: u64,
+    ) -> Result<Self, (usize, u64, u64)> {
+        for (node, iv) in down.iter().enumerate() {
+            let mut free_from = 0;
             for &(s, e) in iv {
-                assert!(s < e && e <= max_slots, "interval ({s}, {e}) out of range");
+                if s < free_from || s >= e || e > max_slots {
+                    return Err((node, s, e));
+                }
+                free_from = e.saturating_add(1);
             }
         }
-        Self { down, max_slots }
+        Ok(Self { down, max_slots })
     }
 
     /// If `node` is unavailable at `slot`, the slot at which it next
@@ -292,8 +297,8 @@ mod tests {
 
     #[test]
     fn union_merges_overlaps_and_empty_is_identity() {
-        let a = ChurnSchedule::from_intervals(vec![vec![(10, 20), (40, 50)]], 100);
-        let empty = ChurnSchedule::from_intervals(vec![Vec::new()], 100);
+        let a = ChurnSchedule::from_intervals(vec![vec![(10, 20), (40, 50)]], 100).unwrap();
+        let empty = ChurnSchedule::from_intervals(vec![Vec::new()], 100).unwrap();
         assert_eq!(
             a.union(&empty).down,
             a.down,
@@ -301,7 +306,7 @@ mod tests {
         );
         assert_eq!(empty.union(&a).down, a.down);
 
-        let b = ChurnSchedule::from_intervals(vec![vec![(15, 30), (50, 60)]], 100);
+        let b = ChurnSchedule::from_intervals(vec![vec![(15, 30), (50, 60)]], 100).unwrap();
         let u = a.union(&b);
         // (10,20)∪(15,30) merge; (40,50) touches (50,60) and merges too.
         assert_eq!(u.down[0], vec![(10, 30), (40, 60)]);

@@ -22,14 +22,18 @@
 //! - [`stats`]: bounded-memory streaming collision/latency/fairness
 //!   accounting.
 //!
-//! [`run_ocean`] assembles them: the MAC state machine advances serially
-//! (its decisions are causally ordered through the shared channel), while
-//! completed reception windows — the expensive, independent part — are
-//! batched and fanned out across an [`aqua_par::Pool`] with the same
-//! parallel ≡ serial bit-identical contract as the experiment engine
-//! (`mac/tests/ocean_determinism.rs`). The `repro ocean` experiment in
-//! `aqua-eval` drives 10 000-node, 24 h simulated deployments through
-//! this entry point. See DESIGN.md §11.
+//! [`Deployment`] assembles them into the one driver every ocean simulator
+//! runs on: the lake medium, the PHY resolver, the horizon and the sleep
+//! schedule, and the only non-oracle [`event::SimHooks`] ([`Drive`]). The
+//! MAC state machine advances serially (its decisions are causally
+//! ordered through the shared channel), while completed reception
+//! windows — the expensive, independent part — are batched, resolved
+//! across an [`aqua_par::Pool`] and handed back in emission order, so a
+//! run is bit-identical for every pool size
+//! (`mac/tests/ocean_determinism.rs`). A [`Scenario`] supplies the
+//! traffic: [`run_ocean`] is the plain one (fixed nearest-neighbor
+//! destinations, streaming stats), the `aqua-net` relay tier the other.
+//! See DESIGN.md §11.
 
 pub mod churn;
 pub mod event;
@@ -44,11 +48,12 @@ pub use per_table::{Band, PerTable};
 pub use topology::TopologyKind;
 
 use crate::netsim::MacConfig;
+use aqua_channel::geometry::Pos;
 use aqua_par::Pool;
 
 use churn::ChurnSchedule;
-use event::{EventCore, Reception, SimHooks};
-use phy::PhyResolver;
+use event::{CoreStats, EventCore, Medium, Reception, SimHooks};
+use phy::{PhyResolver, RxOutcome};
 use stats::{jain_fairness, CollisionWindow, LatencyHist};
 use topology::{GeoMedium, OceanTopology, RangeGain, NO_DEST};
 
@@ -145,39 +150,128 @@ pub struct OceanResult {
     pub mean_degree: f64,
 }
 
-/// Scenario hooks wiring the event core to topology, PHY and streaming
-/// stats. Receptions are buffered and resolved in parallel batches; the
-/// fold back into the stats runs in item order, so results are identical
-/// for every pool size.
-struct OceanHooks<'a> {
-    topo: &'a OceanTopology,
-    medium: &'a GeoMedium,
-    phy: &'a PhyResolver,
-    pool: &'a Pool,
-    churn: &'a ChurnSchedule,
-    slot_s: f64,
-    packet_duration_s: f64,
-    batch: usize,
-    pending: Vec<Reception>,
-    collisions: CollisionWindow,
-    latency: LatencyHist,
-    delivered_per_node: Vec<u64>,
-    transmissions: u64,
-    receptions: u64,
-    delivered: u64,
-    dest_busy_losses: u64,
-    churn_losses: u64,
-    overlap_receptions: u64,
-    peak_window: usize,
+/// The traffic an ocean simulation puts on the shared driver
+/// ([`Deployment::drive`]).
+pub trait Scenario {
+    /// Whether every pending reception is resolved before each
+    /// transmission: a node that decides what to say from what it heard
+    /// must hear first. Otherwise receptions wait for a full batch.
+    const FLUSH_BEFORE_TRANSMIT: bool;
+    /// `node` starts transmitting at `t_s`: the node it addresses, or
+    /// `None` for a broadcast nobody tracks.
+    fn transmit(&mut self, node: usize, t_s: f64) -> Option<u32>;
+    /// A reception lost before the PHY ran: its destination was failed or
+    /// asleep for some part of the arrival window.
+    fn lost(&mut self, rx: &Reception);
+    /// A reception resolved by the PHY, in the order the core emitted it.
+    fn resolved(&mut self, rx: &Reception, out: RxOutcome);
 }
 
-impl<'a> OceanHooks<'a> {
-    /// Resolves the buffered receptions through the pool and folds them
-    /// into the stats in item order. A full batch runs for milliseconds:
-    /// the first one forks once this thread has spent
-    /// [`aqua_par::FORK_AFTER`] on it, and since the pool remembers that,
-    /// later ones fork before their first reception. This thread resolves
-    /// beside the workers either way.
+/// The lake deployment an ocean simulation runs on: the spatial-hash
+/// medium over the node positions, the PHY resolver and the horizon.
+pub struct Deployment {
+    /// The medium over the node positions.
+    pub medium: GeoMedium,
+    /// Run horizon in MAC slots.
+    pub max_slots: u64,
+    phy: PhyResolver,
+    mac: MacConfig,
+    seed: u64,
+}
+
+impl Deployment {
+    /// The lake deployment over `positions`, run for `sim_duration_s`
+    /// under `mac` with PHY band `band` from master seed `seed`.
+    pub fn lake(
+        positions: Vec<Pos>,
+        mac: &MacConfig,
+        band: Band,
+        sim_duration_s: f64,
+        seed: u64,
+    ) -> Self {
+        let rg = RangeGain::lake();
+        Self {
+            medium: GeoMedium::new(positions, rg),
+            phy: PhyResolver::new(band, rg, mac.packet_duration_s, seed),
+            max_slots: (sim_duration_s / mac.slot_s).ceil() as u64,
+            mac: mac.clone(),
+            seed,
+        }
+    }
+
+    /// The sleep schedule `churn` draws for these nodes. The churn stream
+    /// is salted away from the MAC/PHY seed so outage timing and traffic
+    /// randomness never alias.
+    pub fn sleep(&self, churn: &ChurnConfig) -> ChurnSchedule {
+        ChurnSchedule::generate(
+            churn,
+            self.medium.nodes(),
+            self.max_slots,
+            self.mac.slot_s,
+            self.seed ^ 0xC08A_12D5,
+        )
+    }
+
+    /// Runs `scenario` to the horizon with `down` gating availability (a
+    /// down node's events are deferred and its receptions lost), resolving
+    /// receptions through `pool` in batches of at most `batch`.
+    pub fn drive<'a, S: Scenario>(
+        &'a self,
+        down: &'a ChurnSchedule,
+        batch: usize,
+        pool: &'a Pool,
+        scenario: S,
+    ) -> (Drive<'a, S>, CoreStats) {
+        let mut drive = Drive {
+            medium: &self.medium,
+            phy: &self.phy,
+            down,
+            pool,
+            mac: &self.mac,
+            batch: batch.max(1),
+            granted: None,
+            pending: Vec::new(),
+            transmissions: 0,
+            receptions: 0,
+            churn_losses: 0,
+            scenario,
+        };
+        let core =
+            EventCore::new(&self.mac, &self.medium, &mut drive, self.seed).run(self.max_slots);
+        drive.flush();
+        (drive, core)
+    }
+}
+
+/// The event core's hooks for every ocean scenario, handed back by
+/// [`Deployment::drive`] with the run's counts. The deployment's parts
+/// are held by reference and the scenario by value: all of them sit on
+/// the per-event path.
+pub struct Drive<'a, S> {
+    medium: &'a GeoMedium,
+    phy: &'a PhyResolver,
+    down: &'a ChurnSchedule,
+    pool: &'a Pool,
+    mac: &'a MacConfig,
+    batch: usize,
+    /// The grant `on_transmit` hands to the `dest` call that follows it.
+    granted: Option<(usize, f64)>,
+    pending: Vec<Reception>,
+    /// MAC transmissions.
+    pub transmissions: u64,
+    /// Addressed receptions: resolved ones plus those lost to churn.
+    pub receptions: u64,
+    /// Receptions lost to a failed or sleeping destination.
+    pub churn_losses: u64,
+    /// The scenario, with everything it folded.
+    pub scenario: S,
+}
+
+impl<S: Scenario> Drive<'_, S> {
+    /// Resolves the pending receptions through the pool and hands them to
+    /// the scenario in emission order. A full batch forks workers once it
+    /// outlasts [`aqua_par::FORK_AFTER`]; the one or two receptions
+    /// pending at a transmission resolve on this thread.
     fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -185,29 +279,21 @@ impl<'a> OceanHooks<'a> {
         let pending = std::mem::take(&mut self.pending);
         let phy = self.phy;
         let outcomes = self.pool.par_map_slice(&pending, |rx| phy.resolve(rx));
-        for out in outcomes {
-            self.receptions += 1;
-            if out.dest_busy {
-                self.dest_busy_losses += 1;
-            }
-            if out.overlap {
-                self.overlap_receptions += 1;
-            }
-            if out.delivered {
-                self.delivered += 1;
-                self.delivered_per_node[out.tx as usize] += 1;
-                self.latency.record(out.latency_s);
-            }
+        self.receptions += outcomes.len() as u64;
+        for (rx, out) in pending.iter().zip(outcomes) {
+            self.scenario.resolved(rx, out);
         }
     }
 }
 
-impl SimHooks for OceanHooks<'_> {
+impl<S: Scenario> SimHooks for Drive<'_, S> {
     fn dest(&mut self, node: usize) -> Option<u32> {
-        match self.topo.dest[node] {
-            NO_DEST => None,
-            d => Some(d),
-        }
+        // SAFETY of the expect: the event core calls `dest` exactly once,
+        // immediately after `on_transmit` for the same node — the seam's
+        // documented contract, pinned by the determinism suites.
+        let (granted, t_s) = self.granted.take().expect("dest follows on_transmit");
+        debug_assert_eq!(granted, node);
+        self.scenario.transmit(node, t_s)
     }
     fn prop_delay_s(&self, tx: usize, rx: usize) -> f64 {
         self.medium.prop_delay_s(tx, rx)
@@ -216,19 +302,23 @@ impl SimHooks for OceanHooks<'_> {
         self.medium.max_prop_delay_s()
     }
     fn on_transmit(&mut self, node: usize, t_s: f64, _access_delay_s: f64) {
+        if S::FLUSH_BEFORE_TRANSMIT {
+            self.flush();
+        }
         self.transmissions += 1;
-        self.collisions.push(node as u32, t_s);
-        self.peak_window = self.peak_window.max(self.collisions.window_len());
+        self.granted = Some((node, t_s));
     }
     fn on_reception(&mut self, rx: Reception) {
         // A destination that is failed or asleep for any part of the
         // arrival window hears nothing: the reception is accounted (it
         // was addressed traffic) but lost before the PHY ever runs.
-        let a = (rx.arrival_s / self.slot_s).floor().max(0.0) as u64;
-        let b = ((rx.arrival_s + self.packet_duration_s) / self.slot_s).ceil() as u64;
-        if self.churn.down_during(rx.dest as usize, a, b) {
+        let (slot_s, duration_s) = (self.mac.slot_s, self.mac.packet_duration_s);
+        let a = (rx.arrival_s / slot_s).floor().max(0.0) as u64;
+        let b = ((rx.arrival_s + duration_s) / slot_s).ceil() as u64;
+        if self.down.down_during(rx.dest as usize, a, b) {
             self.receptions += 1;
             self.churn_losses += 1;
+            self.scenario.lost(&rx);
             return;
         }
         self.pending.push(rx);
@@ -237,7 +327,39 @@ impl SimHooks for OceanHooks<'_> {
         }
     }
     fn wake_at(&self, node: usize, slot: u64) -> Option<u64> {
-        self.churn.wake_at(node, slot)
+        self.down.wake_at(node, slot)
+    }
+}
+
+/// The plain ocean's scenario: every node reports to its fixed nearest
+/// neighbor, and receptions fold into bounded-memory streaming stats.
+struct OceanStats<'a> {
+    dest: &'a [u32],
+    collisions: CollisionWindow,
+    peak_window: usize,
+    latency: LatencyHist,
+    delivered_per_node: Vec<u64>,
+    delivered: u64,
+    dest_busy_losses: u64,
+    overlap_receptions: u64,
+}
+
+impl Scenario for OceanStats<'_> {
+    const FLUSH_BEFORE_TRANSMIT: bool = false;
+    fn transmit(&mut self, node: usize, t_s: f64) -> Option<u32> {
+        self.collisions.push(node as u32, t_s);
+        self.peak_window = self.peak_window.max(self.collisions.window_len());
+        Some(self.dest[node]).filter(|&d| d != NO_DEST)
+    }
+    fn lost(&mut self, _rx: &Reception) {}
+    fn resolved(&mut self, _rx: &Reception, out: RxOutcome) {
+        self.dest_busy_losses += u64::from(out.dest_busy);
+        self.overlap_receptions += u64::from(out.overlap);
+        if out.delivered {
+            self.delivered += 1;
+            self.delivered_per_node[out.tx as usize] += 1;
+            self.latency.record(out.latency_s);
+        }
     }
 }
 
@@ -245,75 +367,54 @@ impl SimHooks for OceanHooks<'_> {
 /// `cfg.seed`; bit-identical for every pool size
 /// (`mac/tests/ocean_determinism.rs`).
 pub fn run_ocean(cfg: &OceanConfig, pool: &Pool) -> OceanResult {
-    let rg = RangeGain::lake();
-    let topo = OceanTopology::generate(cfg.kind, cfg.nodes, cfg.seed, &rg);
-    let medium = GeoMedium::new(topo.positions.clone(), rg);
-    let phy = PhyResolver::new(cfg.band, rg, cfg.mac.packet_duration_s, cfg.seed);
-    let max_slots = (cfg.sim_duration_s / cfg.mac.slot_s).ceil() as u64;
-    // The churn stream is salted away from the MAC/PHY seed so outage
-    // timing and traffic randomness never alias.
-    let churn = ChurnSchedule::generate(
-        &cfg.churn,
-        cfg.nodes,
-        max_slots,
-        cfg.mac.slot_s,
-        cfg.seed ^ 0xC08A_12D5,
-    );
-    let mut hooks = OceanHooks {
-        topo: &topo,
-        medium: &medium,
-        phy: &phy,
-        pool,
-        churn: &churn,
-        slot_s: cfg.mac.slot_s,
-        packet_duration_s: cfg.mac.packet_duration_s,
-        batch: cfg.batch.max(1),
-        pending: Vec::new(),
+    let OceanTopology { positions, dest } =
+        OceanTopology::generate(cfg.kind, cfg.nodes, cfg.seed, &RangeGain::lake());
+    let lake = Deployment::lake(positions, &cfg.mac, cfg.band, cfg.sim_duration_s, cfg.seed);
+    let sleep = lake.sleep(&cfg.churn);
+    let stats = OceanStats {
+        dest: &dest,
         collisions: CollisionWindow::new(cfg.nodes, cfg.mac.packet_duration_s),
+        peak_window: 0,
         latency: LatencyHist::new(),
         delivered_per_node: vec![0; cfg.nodes],
-        transmissions: 0,
-        receptions: 0,
         delivered: 0,
         dest_busy_losses: 0,
-        churn_losses: 0,
         overlap_receptions: 0,
-        peak_window: 0,
     };
-    let core = EventCore::new(&cfg.mac, &medium, &mut hooks, cfg.seed).run(max_slots);
-    hooks.flush();
-    let (collision_fraction, _per_node) = hooks.collisions.finish();
-    let delivery_rate = if hooks.receptions == 0 {
+    let (run, core) = lake.drive(&sleep, cfg.batch, pool, stats);
+    let s = run.scenario;
+    let (collision_fraction, _per_node) = s.collisions.finish();
+    let delivery_rate = if run.receptions == 0 {
         1.0
     } else {
-        hooks.delivered as f64 / hooks.receptions as f64
+        s.delivered as f64 / run.receptions as f64
     };
     // Fairness over senders that had a destination at all.
     let counted: Vec<u64> = (0..cfg.nodes)
-        .filter(|&i| topo.dest[i] != NO_DEST)
-        .map(|i| hooks.delivered_per_node[i])
+        .filter(|&i| dest[i] != NO_DEST)
+        .map(|i| s.delivered_per_node[i])
         .collect();
     OceanResult {
         nodes: cfg.nodes,
         duration_s: core.duration_s,
-        transmissions: hooks.transmissions,
-        receptions: hooks.receptions,
-        delivered: hooks.delivered,
+        transmissions: run.transmissions,
+        receptions: run.receptions,
+        delivered: s.delivered,
         delivery_rate,
-        dest_busy_losses: hooks.dest_busy_losses,
-        churn_losses: hooks.churn_losses,
-        downtime_frac: churn.mean_downtime_frac(),
-        overlap_receptions: hooks.overlap_receptions,
+        dest_busy_losses: s.dest_busy_losses,
+        churn_losses: run.churn_losses,
+        downtime_frac: sleep.mean_downtime_frac(),
+        overlap_receptions: s.overlap_receptions,
         collision_fraction,
-        latency_mean_s: hooks.latency.mean(),
-        latency_p50_s: hooks.latency.quantile(0.5),
-        latency_p90_s: hooks.latency.quantile(0.9),
+        latency_mean_s: s.latency.mean(),
+        latency_p50_s: s.latency.quantile(0.5),
+        latency_p90_s: s.latency.quantile(0.9),
         fairness: jain_fairness(&counted),
         events: core.events,
         peak_heap: core.peak_heap,
-        peak_collision_window: hooks.peak_window,
-        probe_renders: phy.rendered_buckets(),
-        mean_degree: medium.mean_degree(),
+        peak_collision_window: s.peak_window,
+        probe_renders: lake.phy.rendered_buckets(),
+        mean_degree: lake.medium.mean_degree(),
     }
 }
 

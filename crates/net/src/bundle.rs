@@ -291,7 +291,6 @@ pub fn fragment_message(
 #[derive(Debug, Clone)]
 pub struct BundleReassembler {
     inner: Reassembler,
-    delivered: bool,
 }
 
 impl BundleReassembler {
@@ -300,7 +299,6 @@ impl BundleReassembler {
     pub fn new(b: &Bundle) -> Result<Self, PlanError> {
         Ok(Self {
             inner: Reassembler::new(b.plan()?),
-            delivered: false,
         })
     }
 
@@ -316,17 +314,6 @@ impl BundleReassembler {
     /// Whether every fragment is held.
     pub fn complete(&self) -> bool {
         self.inner.complete()
-    }
-
-    /// Marks the message delivered to the application; later fragments
-    /// are pure duplicates.
-    pub fn mark_delivered(&mut self) {
-        self.delivered = true;
-    }
-
-    /// Whether the message was already handed to the application.
-    pub fn delivered(&self) -> bool {
-        self.delivered
     }
 
     /// Reconstructs the payload bit-exact once complete.

@@ -22,10 +22,10 @@
 //! - [`relay`]: the per-node engine tying it together — beacon-driven
 //!   neighbor tables, binary spray-and-wait forwarding, and RFC 6298-style
 //!   custody retransmission timers reusing [`aquapp::arq::RttEstimator`].
-//! - [`sim`]: the ocean-simulator integration through the
-//!   [`aqua_mac::ocean::event::SimHooks`] seam, with the same parallel ≡
-//!   serial bit-identity contract as every other layer. Runs without the
-//!   relay hooks stay bit-identical to the PR 8 event core.
+//! - [`sim`]: the ocean-simulator integration, a
+//!   [`aqua_mac::ocean::Scenario`] of the shared ocean driver, with the
+//!   same parallel ≡ serial bit-identity contract as every other layer.
+//!   Runs without the relay stay bit-identical to the pre-relay event core.
 //!
 //! The engine itself ([`relay::RelayNode`]) is simulator-agnostic: time is
 //! injected, frames go in and out as values, and the scripted-contact

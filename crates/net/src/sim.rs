@@ -1,22 +1,23 @@
 //! The relay stack wired into the ocean-scale event simulator.
 //!
-//! [`run_relay_ocean`] drives one [`RelayNode`] per vessel through the
-//! existing event core via the [`SimHooks`] seam: when the MAC grants a
-//! node airtime, the hook asks the relay engine what to say
-//! ([`RelayNode::next_frame`]) and captures the answer — target and wire
-//! frame — into the resolve event; when the PHY delivers the reception,
-//! the frame is re-parsed from its own wire bits (the per-hop round-trip
-//! the bundle CRCs exist for) and fed to the receiving relay.
+//! [`run_relay_ocean`] runs one [`RelayNode`] per vessel as a
+//! [`Scenario`] of the ocean driver ([`Deployment::drive`]), which owns
+//! the medium, the PHY, the churn gate and the reception batch: when the
+//! MAC grants a node airtime, the scenario asks the relay engine what to
+//! say ([`RelayNode::next_frame`]) and keeps the answer — target and wire
+//! frame — for the reception it becomes; when the PHY delivers the
+//! reception, the frame is re-parsed from its own wire bits (the per-hop
+//! round-trip the bundle CRCs exist for) and fed to the receiving relay.
 //!
-//! **Determinism contract.** Pending receptions are flushed through the
-//! worker pool *before every transmission decision* and at the batch
-//! threshold — both are pool-size-independent points — and
-//! [`aqua_par::Pool::par_map_slice`] preserves item order, so a
-//! relay-enabled run is bit-identical across 1/2/4-worker pools
-//! (`net/tests/relay_determinism.rs`). The hooks below leave the event
-//! core's MAC trajectory and RNG stream untouched relative to the plain
-//! ocean hooks; runs without a relay remain bit-identical to
-//! [`aqua_mac::ocean::run_ocean`] (`mac/tests/ocean_determinism.rs`).
+//! **Determinism contract.** A relay hears before it speaks, so the
+//! driver resolves pending receptions *before every transmission
+//! decision* as well as at the batch threshold — both
+//! pool-size-independent points — and hands them back in emission order,
+//! so a relay-enabled run is bit-identical across 1/2/4-worker pools
+//! (`net/tests/relay_determinism.rs`) and pinned to recorded values
+//! (`net/tests/relay_pinned.rs`). The event core's MAC trajectory and RNG
+//! stream are the plain ocean scenario's
+//! ([`aqua_mac::ocean::run_ocean`], `mac/tests/ocean_determinism.rs`).
 //!
 //! **Sleep vs crash** (DESIGN.md §15). Two independent downtime
 //! schedules gate a node's availability (their union defers events and
@@ -39,10 +40,10 @@ use crate::relay::{RelayConfig, RelayNode, RelayStats};
 use aqua_channel::geometry::Pos;
 use aqua_mac::netsim::MacConfig;
 use aqua_mac::ocean::churn::ChurnSchedule;
-use aqua_mac::ocean::event::{EventCore, Medium, Reception, SimHooks};
-use aqua_mac::ocean::phy::PhyResolver;
-use aqua_mac::ocean::topology::{GeoMedium, OceanTopology, RangeGain};
-use aqua_mac::ocean::{Band, ChurnConfig, PerTable, TopologyKind};
+use aqua_mac::ocean::event::{Medium, Reception};
+use aqua_mac::ocean::phy::RxOutcome;
+use aqua_mac::ocean::topology::{OceanTopology, RangeGain};
+use aqua_mac::ocean::{Band, ChurnConfig, Deployment, PerTable, Scenario, TopologyKind};
 use aqua_par::Pool;
 use aqua_proto::transfer::PlanError;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -183,12 +184,30 @@ pub enum SimConfigError {
         /// Interval lists supplied.
         got: usize,
     },
+    /// A scripted downtime interval was empty, reversed, not after its
+    /// predecessor, or past the horizon.
+    BadInterval {
+        /// Node the interval belongs to.
+        node: usize,
+        /// First down slot.
+        start: u64,
+        /// First slot up again.
+        end: u64,
+    },
     /// A traffic flow named a node outside `0..nodes`.
     FlowAddress {
         /// Source of the offending flow.
         src: u16,
         /// Destination of the offending flow.
         dst: u16,
+    },
+    /// A source offered more messages than its `u16` sequence numbers
+    /// tell apart (all of them are live at once from `t = 0`).
+    SeqSpace {
+        /// The source.
+        src: u16,
+        /// Messages it offered.
+        messages: usize,
     },
     /// The offered traffic has degenerate fragmentation geometry.
     Traffic(PlanError),
@@ -197,17 +216,24 @@ pub enum SimConfigError {
 impl std::fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::BadNodeCount { nodes } => {
-                write!(f, "node count {nodes} outside 1..=65535")
-            }
+            Self::BadNodeCount { nodes } => write!(f, "node count {nodes} outside 1..=65535"),
             Self::PositionCount { expected, got } => {
                 write!(f, "{got} explicit positions for {expected} nodes")
             }
             Self::IntervalNodes { expected, got } => {
                 write!(f, "{got} downtime interval lists for {expected} nodes")
             }
+            Self::BadInterval { node, start, end } => {
+                write!(
+                    f,
+                    "node {node} outage ({start}, {end}) empty, overlapping or past the end"
+                )
+            }
             Self::FlowAddress { src, dst } => {
                 write!(f, "flow ({src} -> {dst}) names a node outside the fleet")
+            }
+            Self::SeqSpace { src, messages } => {
+                write!(f, "source {src} offers {messages} messages, over 65536")
             }
             Self::Traffic(e) => write!(f, "traffic geometry: {e}"),
         }
@@ -269,14 +295,10 @@ pub struct RelayOceanResult {
     pub peak_heap: usize,
 }
 
-/// Scenario hooks bridging the event core to the relay fleet.
-struct RelayHooks<'a> {
-    medium: &'a GeoMedium,
-    phy: &'a PhyResolver,
-    pool: &'a Pool,
-    /// Sleep ∪ crash: gates availability (event deferral, reception
-    /// loss).
-    churn: &'a ChurnSchedule,
+/// The relay fleet as a [`Scenario`]: a transmission carries the frame
+/// its relay decides on, and a delivered reception hands that frame to
+/// the receiving relay.
+struct Relays<'a> {
     /// Crash intervals only: each wake edge power-cycles the relay.
     crash: &'a ChurnSchedule,
     /// Next unapplied crash interval per node (lazy reboot application).
@@ -285,17 +307,12 @@ struct RelayHooks<'a> {
     torn_salt: u64,
     slot_s: f64,
     packet_duration_s: f64,
-    batch: usize,
     relays: Vec<RelayNode>,
     /// Physically audible neighbors per node, as relay addresses.
     candidates: Vec<Vec<u16>>,
     /// The frame decided at each transmission, keyed by
     /// `(tx, start time bits)` — the resolve event's identity.
     in_flight: HashMap<(u32, u64), Frame>,
-    /// Decision stashed between `on_transmit` and the `dest` call that
-    /// immediately follows it for the same node.
-    decision: Option<(usize, f64, Option<(u16, Frame)>)>,
-    pending: Vec<Reception>,
     expected: HashMap<(u16, u16), Vec<u8>>,
     /// Exact per-message latencies: DTN deliveries run hours, far past
     /// the MAC latency histogram's 1000 s top bucket.
@@ -304,17 +321,14 @@ struct RelayHooks<'a> {
     /// the audit's at-most-once oracle reads this raw).
     deliveries: Vec<(u16, u16)>,
     delivered_set: HashSet<(u16, u16)>,
-    transmissions: u64,
-    receptions: u64,
     frames_delivered: u64,
-    churn_losses: u64,
     msgs_delivered: u64,
     dup_deliveries: u64,
     payload_mismatches: u64,
     reboots: u64,
 }
 
-impl RelayHooks<'_> {
+impl Relays<'_> {
     /// Applies every crash whose outage has fully elapsed by `now_slot`
     /// to `node`'s relay, in schedule order. Called before the node's
     /// next interaction (transmit decision or frame application) — a
@@ -334,107 +348,61 @@ impl RelayHooks<'_> {
             self.reboots += 1;
         }
     }
-
-    /// Resolves buffered receptions in parallel and applies them to the
-    /// relays in item order — called before every transmission decision
-    /// and at the batch threshold, so flush points (and therefore every
-    /// relay's input sequence) are identical for every pool size. A flush
-    /// before a transmission usually holds one or two receptions, which
-    /// resolve inside [`aqua_par::FORK_AFTER`] and so never leave this
-    /// thread. A flush that runs longer (a full batch, or receptions that
-    /// need sample-level probe renders) forks workers, and so does the one
-    /// flush after it, before the pool sees that flushes are short again.
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let phy = self.phy;
-        let outcomes = self.pool.par_map_slice(&pending, |rx| phy.resolve(rx));
-        for (rx, out) in pending.iter().zip(outcomes) {
-            self.receptions += 1;
-            let frame = self.in_flight.remove(&(rx.tx, rx.start_s.to_bits()));
-            if !out.delivered {
-                continue;
-            }
-            self.frames_delivered += 1;
-            // SAFETY of the expects: every reception the core emits was
-            // created by `dest()` for the same `(tx, start_s)` key, which
-            // inserted the frame — and a frame built by the engine
-            // round-trips its own wire bits by construction (pinned by
-            // `net/tests/frame_fuzz.rs`). Neither can fail without a bug
-            // in this file, which is exactly when a loud panic beats a
-            // silently dropped frame.
-            let frame = frame.expect("delivered reception has a frame in flight");
-            let frame = Frame::try_from_bits(&frame.to_bits()).expect("wire roundtrip");
-            let now_s = rx.arrival_s + self.packet_duration_s;
-            // Any crash outage that ended before this frame physically
-            // arrived is applied first (the reception passed the churn
-            // gate, so no outage overlaps the arrival window itself).
-            let arrival_slot = (rx.arrival_s / self.slot_s).floor().max(0.0) as u64;
-            self.catch_up(out.dest as usize, arrival_slot);
-            for d in self.relays[out.dest as usize].on_frame(rx.tx as u16, frame, now_s) {
-                self.deliveries.push((d.src, d.seq));
-                if !self.delivered_set.insert((d.src, d.seq)) {
-                    self.dup_deliveries += 1;
-                }
-                match self.expected.get(&(d.src, d.seq)) {
-                    Some(want) if *want == d.payload => {
-                        self.msgs_delivered += 1;
-                        self.latencies_s.push(now_s);
-                    }
-                    _ => self.payload_mismatches += 1,
-                }
-            }
-        }
-    }
 }
 
-impl SimHooks for RelayHooks<'_> {
-    fn dest(&mut self, node: usize) -> Option<u32> {
-        // SAFETY of the expect: the event core calls `dest` exactly once,
-        // immediately after `on_transmit` for the same node — the seam's
-        // documented contract, pinned by the determinism suite.
-        let (n, t_s, decision) = self.decision.take().expect("dest follows on_transmit");
-        debug_assert_eq!(n, node);
-        let (target, frame) = decision?;
-        self.in_flight.insert((node as u32, t_s.to_bits()), frame);
-        Some(target as u32)
-    }
-    fn prop_delay_s(&self, tx: usize, rx: usize) -> f64 {
-        self.medium.prop_delay_s(tx, rx)
-    }
-    fn max_prop_delay_s(&self) -> f64 {
-        self.medium.max_prop_delay_s()
-    }
-    fn on_transmit(&mut self, node: usize, t_s: f64, _access_delay_s: f64) {
-        // Everything that physically arrived before this grant is heard
-        // before the relay decides what to say.
-        self.flush();
+impl Scenario for Relays<'_> {
+    /// Everything that physically arrived before a grant is heard before
+    /// the relay decides what to say.
+    const FLUSH_BEFORE_TRANSMIT: bool = true;
+
+    fn transmit(&mut self, node: usize, t_s: f64) -> Option<u32> {
         // The node is awake here (the core defers grants on the merged
         // schedule), so every crash outage that ended by now reboots the
         // relay before it decides what to say.
         self.catch_up(node, (t_s / self.slot_s).floor().max(0.0) as u64);
-        self.transmissions += 1;
-        let decision = self.relays[node].next_frame(t_s, &self.candidates[node]);
-        self.decision = Some((node, t_s, decision));
+        let (target, frame) = self.relays[node].next_frame(t_s, &self.candidates[node])?;
+        self.in_flight.insert((node as u32, t_s.to_bits()), frame);
+        Some(target as u32)
     }
-    fn on_reception(&mut self, rx: Reception) {
-        let a = (rx.arrival_s / self.slot_s).floor().max(0.0) as u64;
-        let b = ((rx.arrival_s + self.packet_duration_s) / self.slot_s).ceil() as u64;
-        if self.churn.down_during(rx.dest as usize, a, b) {
-            self.receptions += 1;
-            self.churn_losses += 1;
-            self.in_flight.remove(&(rx.tx, rx.start_s.to_bits()));
+
+    fn lost(&mut self, rx: &Reception) {
+        self.in_flight.remove(&(rx.tx, rx.start_s.to_bits()));
+    }
+
+    fn resolved(&mut self, rx: &Reception, out: RxOutcome) {
+        let frame = self.in_flight.remove(&(rx.tx, rx.start_s.to_bits()));
+        if !out.delivered {
             return;
         }
-        self.pending.push(rx);
-        if self.pending.len() >= self.batch {
-            self.flush();
+        self.frames_delivered += 1;
+        // SAFETY of the expects: every reception the core emits comes from
+        // a transmission whose `transmit()` inserted the frame under the
+        // same `(tx, start_s)` key — and a frame built by the engine
+        // round-trips its own wire bits by construction (pinned by
+        // `net/tests/frame_fuzz.rs`). Neither can fail without a bug in
+        // this file, which is exactly when a loud panic beats a silently
+        // dropped frame.
+        let frame = frame.expect("delivered reception has a frame in flight");
+        let frame = Frame::try_from_bits(&frame.to_bits()).expect("wire roundtrip");
+        let now_s = rx.arrival_s + self.packet_duration_s;
+        // Any crash outage that ended before this frame physically
+        // arrived is applied first (the reception passed the churn
+        // gate, so no outage overlaps the arrival window itself).
+        let arrival_slot = (rx.arrival_s / self.slot_s).floor().max(0.0) as u64;
+        self.catch_up(out.dest as usize, arrival_slot);
+        for d in self.relays[out.dest as usize].on_frame(rx.tx as u16, frame, now_s) {
+            self.deliveries.push((d.src, d.seq));
+            if !self.delivered_set.insert((d.src, d.seq)) {
+                self.dup_deliveries += 1;
+            }
+            match self.expected.get(&(d.src, d.seq)) {
+                Some(want) if *want == d.payload => {
+                    self.msgs_delivered += 1;
+                    self.latencies_s.push(now_s);
+                }
+                _ => self.payload_mismatches += 1,
+            }
         }
-    }
-    fn wake_at(&self, node: usize, slot: u64) -> Option<u64> {
-        self.churn.wake_at(node, slot)
     }
 }
 
@@ -543,26 +511,22 @@ fn run_inner(
     if cfg.nodes < 1 || cfg.nodes > u16::MAX as usize {
         return Err(SimConfigError::BadNodeCount { nodes: cfg.nodes });
     }
-    for down in [&cfg.churn_intervals, &cfg.crash_intervals]
-        .into_iter()
-        .flatten()
-    {
-        if down.len() != cfg.nodes {
-            return Err(SimConfigError::IntervalNodes {
-                expected: cfg.nodes,
-                got: down.len(),
-            });
-        }
-    }
+    let mut per_src = vec![0usize; cfg.nodes];
     for &(src, dst) in &cfg.traffic.pairs {
         if src as usize >= cfg.nodes || dst as usize >= cfg.nodes {
             return Err(SimConfigError::FlowAddress { src, dst });
         }
+        let messages = &mut per_src[src as usize];
+        *messages = messages.saturating_add(cfg.traffic.messages_per_pair);
     }
-    let rg = RangeGain::lake();
+    // Identity is `(src, u16 seq)` and every message is live from t = 0.
+    if let Some((src, &messages)) = per_src.iter().enumerate().find(|(_, &m)| m > 1 << 16) {
+        let src = src as u16;
+        return Err(SimConfigError::SeqSpace { src, messages });
+    }
     let positions = match &cfg.topology {
         RelayTopology::Kind(kind) => {
-            OceanTopology::generate(*kind, cfg.nodes, cfg.seed, &rg).positions
+            OceanTopology::generate(*kind, cfg.nodes, cfg.seed, &RangeGain::lake()).positions
         }
         RelayTopology::Explicit(p) => {
             if p.len() != cfg.nodes {
@@ -574,29 +538,27 @@ fn run_inner(
             p.clone()
         }
     };
-    let medium = GeoMedium::new(positions, rg);
-    let phy = PhyResolver::new(cfg.band, rg, cfg.mac.packet_duration_s, cfg.seed);
-    let max_slots = (cfg.sim_duration_s / cfg.mac.slot_s).ceil() as u64;
+    let lake = Deployment::lake(positions, &cfg.mac, cfg.band, cfg.sim_duration_s, cfg.seed);
+    let scripted = |down: &Vec<Vec<(u64, u64)>>| {
+        if down.len() != cfg.nodes {
+            let (expected, got) = (cfg.nodes, down.len());
+            return Err(SimConfigError::IntervalNodes { expected, got });
+        }
+        ChurnSchedule::from_intervals(down.clone(), lake.max_slots)
+            .map_err(|(node, start, end)| SimConfigError::BadInterval { node, start, end })
+    };
     let sleep = match &cfg.churn_intervals {
-        Some(down) => ChurnSchedule::from_intervals(down.clone(), max_slots),
-        // Same salt as the plain ocean: outage timing never aliases the
-        // MAC/PHY randomness.
-        None => ChurnSchedule::generate(
-            &cfg.churn,
-            cfg.nodes,
-            max_slots,
-            cfg.mac.slot_s,
-            cfg.seed ^ 0xC08A_12D5,
-        ),
+        Some(down) => scripted(down)?,
+        None => lake.sleep(&cfg.churn),
     };
     let crash = match &cfg.crash_intervals {
-        Some(down) => ChurnSchedule::from_intervals(down.clone(), max_slots),
-        // A third salt: crash timing aliases neither MAC/PHY draws nor
-        // the sleep schedule.
+        Some(down) => scripted(down)?,
+        // A salt of its own: crash timing aliases neither MAC/PHY draws
+        // nor the sleep schedule.
         None => ChurnSchedule::generate(
             &cfg.crash,
             cfg.nodes,
-            max_slots,
+            lake.max_slots,
             cfg.mac.slot_s,
             cfg.seed ^ 0xC4A5_11FE,
         ),
@@ -604,7 +566,7 @@ fn run_inner(
     // Availability is gated on sleep ∪ crash; union with an empty crash
     // schedule reproduces the sleep schedule exactly, preserving the
     // sleep-only bit-identity contract.
-    let churn = sleep.union(&crash);
+    let down = sleep.union(&crash);
     let mut relays: Vec<RelayNode> = (0..cfg.nodes)
         .map(|i| {
             let seed = node_seed(cfg.seed, i);
@@ -627,7 +589,8 @@ fn run_inner(
     for &(src, dst) in &cfg.traffic.pairs {
         for m in 0..cfg.traffic.messages_per_pair {
             let seq = next_seq[src as usize];
-            next_seq[src as usize] += 1;
+            // Validated above: the 65 536th message's increment wraps unused.
+            next_seq[src as usize] = seq.wrapping_add(1);
             let payload = message_payload(cfg.seed, src, dst, m, cfg.traffic.payload_bytes);
             let bundles = fragment_message(
                 src,
@@ -664,53 +627,45 @@ fn run_inner(
     let table = PerTable::recorded();
     let candidates = (0..cfg.nodes)
         .map(|i| {
-            medium
+            lake.medium
                 .neighbors_of(i)
                 .iter()
-                .filter(|&&j| table.per(cfg.band, medium.range_m(i, j as usize)) < 1.0)
+                .filter(|&&j| table.per(cfg.band, lake.medium.range_m(i, j as usize)) < 1.0)
                 .map(|&j| j as u16)
                 .collect()
         })
         .collect();
-    let mut hooks = RelayHooks {
-        medium: &medium,
-        phy: &phy,
-        pool,
-        churn: &churn,
+    let relays = Relays {
         crash: &crash,
         crash_cursor: vec![0; cfg.nodes],
         torn_salt: cfg.seed ^ 0x7042_5EED,
         slot_s: cfg.mac.slot_s,
         packet_duration_s: cfg.mac.packet_duration_s,
-        batch: cfg.batch.max(1),
         relays,
         candidates,
         in_flight: HashMap::new(),
-        decision: None,
-        pending: Vec::new(),
         expected,
         latencies_s: Vec::new(),
         deliveries: Vec::new(),
         delivered_set: HashSet::new(),
-        transmissions: 0,
-        receptions: 0,
         frames_delivered: 0,
-        churn_losses: 0,
         msgs_delivered: 0,
         dup_deliveries: 0,
         payload_mismatches: 0,
         reboots: 0,
     };
-    let core = EventCore::new(&cfg.mac, &medium, &mut hooks, cfg.seed).run(max_slots);
-    hooks.flush();
+    let (run, core) = lake.drive(&down, cfg.batch, pool, relays);
+    let mut net = run.scenario;
     // Crashes whose outage outlived the node's last interaction still
     // happened: apply them so end-of-run state (and the audit snapshot)
     // reflects every scheduled power-cycle.
     for node in 0..cfg.nodes {
-        hooks.catch_up(node, max_slots);
+        net.catch_up(node, lake.max_slots);
     }
     let mut relay = RelayStats::default();
-    for r in &hooks.relays {
+    let (mut journal_bytes, mut journal_syncs) = (0u64, 0u64);
+    let (mut journal_compactions, mut journal_replayed) = (0u64, 0u64);
+    for r in &net.relays {
         let s = r.stats();
         relay.sourced += s.sourced;
         relay.beacons += s.beacons;
@@ -727,10 +682,6 @@ fn run_inner(
         relay.queue_rejects += s.queue_rejects;
         relay.hop_drops += s.hop_drops;
         relay.delivered_msgs += s.delivered_msgs;
-    }
-    let (mut journal_bytes, mut journal_syncs, mut journal_compactions) = (0u64, 0u64, 0u64);
-    let mut journal_replayed = 0u64;
-    for r in &hooks.relays {
         if let Some(js) = r.journal_stats() {
             journal_bytes += js.bytes;
             journal_syncs += js.syncs;
@@ -743,10 +694,10 @@ fn run_inner(
     let audit = want_audit.then(|| {
         let mut a = FleetAudit {
             offered,
-            deliveries: hooks.deliveries.clone(),
+            deliveries: net.deliveries.clone(),
             ..FleetAudit::default()
         };
-        for r in &hooks.relays {
+        for r in &net.relays {
             let n = r.addr();
             for k in r.queue_keys() {
                 a.held.entry(k).or_default().push(n);
@@ -768,25 +719,25 @@ fn run_inner(
     let result = RelayOceanResult {
         nodes: cfg.nodes,
         duration_s: core.duration_s,
-        transmissions: hooks.transmissions,
-        receptions: hooks.receptions,
-        frames_delivered: hooks.frames_delivered,
-        churn_losses: hooks.churn_losses,
-        downtime_frac: churn.mean_downtime_frac(),
+        transmissions: run.transmissions,
+        receptions: run.receptions,
+        frames_delivered: net.frames_delivered,
+        churn_losses: run.churn_losses,
+        downtime_frac: down.mean_downtime_frac(),
         msgs_offered,
-        msgs_delivered: hooks.msgs_delivered,
+        msgs_delivered: net.msgs_delivered,
         delivery_ratio: if msgs_offered == 0 {
             1.0
         } else {
-            hooks.msgs_delivered as f64 / msgs_offered as f64
+            net.msgs_delivered as f64 / msgs_offered as f64
         },
-        payload_mismatches: hooks.payload_mismatches,
-        latency_mean_s: mean(&hooks.latencies_s),
-        latency_p50_s: quantile(&hooks.latencies_s, 0.5),
-        latency_p90_s: quantile(&hooks.latencies_s, 0.9),
+        payload_mismatches: net.payload_mismatches,
+        latency_mean_s: mean(&net.latencies_s),
+        latency_p50_s: quantile(&net.latencies_s, 0.5),
+        latency_p90_s: quantile(&net.latencies_s, 0.9),
         relay,
-        reboots: hooks.reboots,
-        dup_deliveries: hooks.dup_deliveries,
+        reboots: net.reboots,
+        dup_deliveries: net.dup_deliveries,
         journal_bytes,
         journal_syncs,
         journal_compactions,

@@ -59,11 +59,6 @@ impl TransferParams {
     pub fn without_fec(self) -> Self {
         Self { parity: 0, ..self }
     }
-
-    /// Bits on the wire per fragment: seq(16) + payload + crc16(16).
-    pub fn frag_bits(&self) -> usize {
-        32 + 8 * self.frag_bytes
-    }
 }
 
 /// One transmitted fragment: sequence number plus `frag_bytes` of payload.
