@@ -271,8 +271,9 @@ fn ripple_phases(seed: u64, octaves: usize) -> std::rc::Rc<[f64]> {
     use std::cell::RefCell;
     use std::collections::HashMap;
     use std::rc::Rc;
+    type Phases = HashMap<(u64, usize), Rc<[f64]>>;
     thread_local! {
-        static CACHE: RefCell<HashMap<(u64, usize), Rc<[f64]>>> = RefCell::new(HashMap::new());
+        static CACHE: RefCell<Phases> = RefCell::new(HashMap::new());
     }
     CACHE.with(|cache| {
         cache

@@ -274,10 +274,7 @@ impl FaultSchedule {
     /// splitmix64 step on the builder state.
     fn next_u64(&mut self) -> u64 {
         self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        rand::mix64(self.rng_state)
     }
 
     /// Uniform in [0, 1) from a 64-bit value.

@@ -6,6 +6,7 @@ use aqua_channel::environments::{Environment, Site};
 use aqua_channel::geometry::{delay_spread_s, eigenrays, eigenrays_into, Boundaries, Pos};
 use aqua_channel::link::{Link, LinkConfig};
 use proptest::prelude::*;
+use std::f64::consts::PI;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -77,7 +78,7 @@ proptest! {
     /// Directivity loss is zero on boresight, non-positive elsewhere, and
     /// symmetric in the angle.
     #[test]
-    fn directivity_invariants(angle in -3.14f64..3.14) {
+    fn directivity_invariants(angle in -PI..PI) {
         let d = Device::default_rig(1);
         prop_assert_eq!(d.directivity_db(0.0), 0.0);
         let loss = d.directivity_db(angle);

@@ -364,7 +364,7 @@ impl RealFft {
     /// Plans a real FFT of length `len`. Panics if `len == 0`.
     pub fn new(len: usize) -> Self {
         assert!(len > 0, "FFT length must be positive");
-        if len % 2 == 0 && len >= 2 {
+        if len.is_multiple_of(2) && len >= 2 {
             let m = len / 2;
             Self {
                 len,
@@ -512,7 +512,7 @@ pub fn extend_hermitian(half_spec: &[Complex], len: usize) -> Vec<Complex> {
     );
     let mut full = Vec::with_capacity(len);
     full.extend_from_slice(&half_spec[..len / 2 + 1]);
-    for k in (1..(len + 1) / 2).rev() {
+    for k in (1..len.div_ceil(2)).rev() {
         full.push(half_spec[k].conj());
     }
     debug_assert_eq!(full.len(), len);

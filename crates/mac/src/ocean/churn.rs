@@ -55,10 +55,7 @@ impl Default for ChurnConfig {
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rand::mix64(*state)
 }
 
 fn unit(state: &mut u64) -> f64 {
@@ -229,7 +226,7 @@ impl ChurnSchedule {
 }
 
 /// Sorts, merges and slot-quantizes second-domain downtime intervals.
-fn merge_to_slots(sec: &mut Vec<(f64, f64)>, slot_s: f64, max_slots: u64) -> Vec<(u64, u64)> {
+fn merge_to_slots(sec: &mut [(f64, f64)], slot_s: f64, max_slots: u64) -> Vec<(u64, u64)> {
     sec.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite interval bounds"));
     let mut out: Vec<(u64, u64)> = Vec::new();
     for &(a, b) in sec.iter() {

@@ -7,8 +7,23 @@
 //! events on a binary heap: a node is only touched at the slots where the
 //! slot-stepped simulator would actually *change its state or draw from
 //! the RNG* (wait expiry, backoff ticks, transmission end), and sensed
-//! energy is answered from per-node transmission-interval histories
-//! instead of a global per-slot scan.
+//! energy is answered from an index of live transmissions instead of a
+//! global per-slot scan.
+//!
+//! **Live-transmission index.** Every transmission `(start, until, node)`
+//! is appended to the deque of its sender's spatial cell
+//! ([`Medium::cell_of`]); cells fill in start order, and an entry is
+//! pruned once it is older than any pending reception window can reach.
+//! A carrier-sense check or a reception resolve scans only the cells that
+//! can hold the node's neighbours ([`Medium::cells_near`]), from the
+//! newest entry back to the oldest one that could still be audible or
+//! overlap, locates each hit in the node's sorted neighbour list by
+//! binary search and reads its power at that position
+//! ([`Medium::gain_at`]). Hits are sorted by node index before anything
+//! is summed, so a sensed power or an interferer list has the same terms
+//! in the same order as a walk over every neighbour would give. A node is
+//! on air for a small fraction of the time, so a scan visits a handful of
+//! entries where a walk visits the node's whole degree.
 //!
 //! **Oracle equivalence.** On the dense gain-matrix inputs of
 //! [`crate::netsim::simulate`], [`simulate_events`] is **bit-identical** to
@@ -21,8 +36,9 @@
 //! - a transmission started at slot `s` with end slot `u` is audible at
 //!   slots `t` with `s < t < u` — the oracle's start-of-slot snapshot
 //!   semantics (the starting slot itself and the end slot are silent);
-//! - sensed power is accumulated as `noise + Σ gains` over transmitter
-//!   indices in ascending order, the oracle's exact float summation order;
+//! - sensed power is accumulated as `noise + Σ gains` over active
+//!   transmitters sorted by node index, the oracle's exact float
+//!   summation order;
 //! - a state set at slot `t` is first acted on at slot `max(when, t+1)`,
 //!   matching the oracle's examine-next-slot behavior.
 //!
@@ -49,18 +65,39 @@ pub const SOUND_SPEED: f64 = 1500.0;
 ///
 /// The dense oracle mode wraps the full gain matrix; the ocean mode backs
 /// this with spatial-hash neighbor lists and an analytic range-gain fit.
+/// The defaulted cell methods describe a single cell holding every node,
+/// which is exact for any medium and fast for a small one.
 pub trait Medium {
     /// Number of nodes.
     fn nodes(&self) -> usize;
     /// In-band ambient noise power at receiver `rx`.
     fn noise_floor(&self, rx: usize) -> f64;
     /// Candidate transmitters audible at `rx`, in strictly ascending node
-    /// index, excluding `rx` itself. Sensed power is accumulated in this
-    /// order, which the oracle equivalence relies on.
+    /// index, excluding `rx` itself. The event core finds a transmitter's
+    /// position here by binary search.
     fn neighbors_of(&self, rx: usize) -> &[u32];
     /// Sensed linear power at `rx` while `tx` transmits (transmit power
     /// already folded in).
     fn gain(&self, tx: usize, rx: usize) -> f64;
+    /// [`Medium::gain`] from the `k`-th entry of `rx`'s neighbor list.
+    fn gain_at(&self, rx: usize, k: usize) -> f64 {
+        self.gain(self.neighbors_of(rx)[k] as usize, rx)
+    }
+    /// Number of spatial cells; [`Medium::cell_of`] is below it.
+    fn cell_count(&self) -> usize {
+        1
+    }
+    /// The spatial cell `node` lies in.
+    fn cell_of(&self, node: usize) -> usize {
+        let _ = node;
+        0
+    }
+    /// Distinct cells that together hold every neighbor of `node` (and
+    /// `node` itself).
+    fn cells_near(&self, node: usize) -> &[u32] {
+        let _ = node;
+        &[0]
+    }
 }
 
 /// Dense-matrix medium: the exact inputs of [`crate::netsim::simulate`].
@@ -158,7 +195,8 @@ pub trait SimHooks {
         0.0
     }
     /// Upper bound on [`SimHooks::prop_delay_s`] over pairs that can
-    /// interact (sizes the history prune horizon).
+    /// interact: sizes the live-transmission prune horizon and bounds the
+    /// interferer scan, so a pair above it may be missed.
     fn max_prop_delay_s(&self) -> f64 {
         0.0
     }
@@ -205,9 +243,6 @@ struct NodeCtx {
     sent: usize,
     /// Slot at which the current wait was meant to end (access-delay base).
     intended: u64,
-    /// Recent transmissions as `(start_slot, until_slot)`, oldest first.
-    /// Disjoint and ascending; pruned to the reception-window horizon.
-    history: VecDeque<(u64, u64)>,
 }
 
 const KIND_STATE: u8 = 0;
@@ -261,9 +296,18 @@ pub struct EventCore<'a, M: Medium, H: SimHooks> {
     nodes: Vec<NodeCtx>,
     heap: BinaryHeap<Reverse<Ev>>,
     packet_slots: u64,
-    /// History entries with `until_slot < now - prune_h` can no longer
-    /// overlap any pending reception window and are dropped.
+    /// Per spatial cell: the transmissions `(start_slot, until_slot,
+    /// node)` of the cell's nodes in start order. Every transmission lasts
+    /// `packet_slots`, so `until_slot` ascends too.
+    live: Vec<VecDeque<(u64, u64, u32)>>,
+    /// Entries with `until_slot < now - prune_h` can no longer overlap
+    /// any pending reception window and are dropped.
     prune_h: u64,
+    /// [`SimHooks::max_prop_delay_s`], bounding the resolve scan.
+    max_prop_s: f64,
+    /// Scratch for the hits of one scan: `(node, start_slot, position in
+    /// the neighbor list)`.
+    hits: Vec<(u32, u64, usize)>,
     seq: u64,
     events: u64,
     peak_heap: usize,
@@ -281,9 +325,10 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
         // packet duration plus two propagation delays (tx→dest and
         // interferer→dest) from the current slot, with slack for the
         // ceil-quantized resolve slot.
+        let max_prop_s = hooks.max_prop_delay_s();
         let prune_h = packet_slots
             + 3
-            + ((cfg.packet_duration_s + 2.0 * hooks.max_prop_delay_s()) / cfg.slot_s).ceil() as u64;
+            + ((cfg.packet_duration_s + 2.0 * max_prop_s) / cfg.slot_s).ceil() as u64;
         let mut heap = BinaryHeap::new();
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
@@ -292,7 +337,6 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
                 state: NState::Waiting { when },
                 sent: 0,
                 intended: when,
-                history: VecDeque::new(),
             });
             heap.push(Reverse(Ev {
                 slot: when,
@@ -313,7 +357,10 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
             nodes,
             heap,
             packet_slots,
+            live: vec![VecDeque::new(); medium.cell_count()],
             prune_h,
+            max_prop_s,
+            hits: Vec::new(),
             seq: 0,
             events: 0,
             peak_heap,
@@ -323,15 +370,11 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
     /// Runs to completion or to the `max_slots` horizon (the oracle's
     /// safety cap; the ocean mode's simulated duration). Reception windows
     /// already in flight at the horizon are still resolved against the
-    /// frozen transmission histories.
+    /// frozen live-transmission index.
     pub fn run(mut self, max_slots: u64) -> CoreStats {
         let mut last_slot = 0u64;
         let mut capped = false;
-        loop {
-            let slot = match self.heap.peek() {
-                Some(Reverse(ev)) => ev.slot,
-                None => break,
-            };
+        while let Some(&Reverse(Ev { slot, .. })) = self.heap.peek() {
             if slot >= max_slots {
                 capped = true;
                 break;
@@ -389,28 +432,34 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
         }));
     }
 
-    /// Was `node` audible at slot `t`? True iff it has a transmission with
-    /// `start < t < until` — the oracle's start-of-slot snapshot rule.
-    fn active_at(&self, node: usize, t: u64) -> bool {
-        for &(s, u) in self.nodes[node].history.iter().rev() {
-            if s < t {
-                return t < u;
+    /// The oracle's sensed-energy test: noise plus the gains of the
+    /// neighbors audible at `t` accumulated in ascending node index,
+    /// against the margin. A transmission started at slot `s` and ending
+    /// at `u` is audible at slots `s < t < u` (the oracle's start-of-slot
+    /// snapshot rule).
+    fn busy(&mut self, node: usize, t: u64) -> bool {
+        let near = self.medium.neighbors_of(node);
+        let mut hits = std::mem::take(&mut self.hits);
+        hits.clear();
+        for &c in self.medium.cells_near(node) {
+            for &(s, u, j) in self.live[c as usize].iter().rev() {
+                if u <= t {
+                    break;
+                }
+                if s < t {
+                    if let Ok(k) = near.binary_search(&j) {
+                        hits.push((j, s, k));
+                    }
+                }
             }
         }
-        false
-    }
-
-    /// The oracle's sensed-energy test: noise plus the gains of active
-    /// neighbors accumulated in ascending node index, against the margin.
-    fn busy(&self, node: usize, t: u64) -> bool {
+        hits.sort_unstable();
         let noise = self.medium.noise_floor(node);
         let mut p = noise;
-        for &j in self.medium.neighbors_of(node) {
-            let j = j as usize;
-            if self.active_at(j, t) {
-                p += self.medium.gain(j, node);
-            }
+        for &(_, _, k) in &hits {
+            p += self.medium.gain_at(node, k);
         }
+        self.hits = hits;
         p > noise * self.cfg.threshold_margin
     }
 
@@ -479,17 +528,13 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
         let until = t + self.packet_slots;
         self.nodes[i].state = NState::Transmitting { until };
         self.push_state(until.max(t + 1), i);
-        // Record the audible interval and prune entries no pending
-        // reception window can reach.
-        self.nodes[i].history.push_back((t, until));
+        // Index the transmission in its sender's cell and prune the
+        // cell's entries no pending reception window can reach.
+        let cell = &mut self.live[self.medium.cell_of(i)];
+        cell.push_back((t, until, i as u32));
         let horizon = t.saturating_sub(self.prune_h);
-        while self.nodes[i].history.len() > 1 {
-            match self.nodes[i].history.front() {
-                Some(&(_, u)) if u < horizon => {
-                    self.nodes[i].history.pop_front();
-                }
-                _ => break,
-            }
+        while cell.front().is_some_and(|&(_, u, _)| u < horizon) {
+            cell.pop_front();
         }
         // Schedule the reception resolve after the packet has fully
         // arrived at the destination (propagation-delay-adjusted).
@@ -517,40 +562,61 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
     /// start: captures half-duplex state and every overlapping interferer
     /// at the destination, then hands off to the hooks.
     fn process_resolve(&mut self, i: usize, d: usize, start_slot: u64, access_s: f64) {
-        let dur = self.cfg.packet_duration_s;
-        let start_s = start_slot as f64 * self.cfg.slot_s;
+        let (dur, slot_s) = (self.cfg.packet_duration_s, self.cfg.slot_s);
+        let start_s = start_slot as f64 * slot_s;
         let prop = self.hooks.prop_delay_s(i, d);
         let (a, b) = (start_s + prop, start_s + prop + dur);
+        // A transmission overlapping [a, b) at `d` started after
+        // a - max_prop - dur; one slot of slack keeps float rounding from
+        // ever dropping a real overlap (the exact test below decides).
+        let lo = ((a - self.max_prop_s - dur) / slot_s).floor() - 1.0;
+        let lo = lo.max(0.0) as u64;
+        let near = self.medium.neighbors_of(d);
+        let mut hits = std::mem::take(&mut self.hits);
+        hits.clear();
         // Half-duplex: the destination cannot receive while transmitting.
-        let dest_busy = self.nodes[d].history.iter().any(|&(s, _)| {
-            let s_s = s as f64 * self.cfg.slot_s;
-            s_s < b && a < s_s + dur
-        });
-        let mut interferers = Vec::new();
-        for &j in self.medium.neighbors_of(d) {
-            let j = j as usize;
-            if j == i {
-                continue;
+        let mut dest_busy = false;
+        for &c in self.medium.cells_near(d) {
+            for &(s, _, j) in self.live[c as usize].iter().rev() {
+                if s < lo {
+                    break;
+                }
+                if j as usize == d {
+                    let s_s = s as f64 * slot_s;
+                    dest_busy |= s_s < b && a < s_s + dur;
+                } else if j as usize != i {
+                    if let Ok(k) = near.binary_search(&j) {
+                        hits.push((j, s, k));
+                    }
+                }
             }
-            let pd = self.hooks.prop_delay_s(j, d);
+        }
+        // By node, then start: each interferer's overlaps sum oldest
+        // first.
+        hits.sort_unstable();
+        let mut interferers = Vec::new();
+        for group in hits.chunk_by(|x, y| x.0 == y.0) {
+            let (j, _, k) = group[0];
+            let pd = self.hooks.prop_delay_s(j as usize, d);
             let mut power = 0.0;
             let mut overlap = 0.0f64;
-            for &(s, _) in self.nodes[j].history.iter() {
-                let aj = s as f64 * self.cfg.slot_s + pd;
+            for &(_, s, _) in group {
+                let aj = s as f64 * slot_s + pd;
                 let bj = aj + dur;
                 if aj < b && a < bj {
-                    power = self.medium.gain(j, d);
+                    power = self.medium.gain_at(d, k);
                     overlap += b.min(bj) - a.max(aj);
                 }
             }
             if power > 0.0 && overlap > 0.0 {
                 interferers.push(Interferer {
-                    node: j as u32,
+                    node: j,
                     power,
                     overlap_s: overlap.min(dur),
                 });
             }
         }
+        self.hits = hits;
         self.hooks.on_reception(Reception {
             tx: i as u32,
             dest: d as u32,

@@ -7,14 +7,15 @@
 //! splits the problem:
 //!
 //! - [`event`]: the event-driven MAC core — a binary-heap event queue
-//!   keyed `(slot, node)`, per-node transmission histories instead of
-//!   per-slot scans, and reception windows scheduled at
+//!   keyed `(slot, node)`, a per-cell index of live transmissions
+//!   instead of per-slot scans, and reception windows scheduled at
 //!   propagation-delay-adjusted arrival times. On dense small configs it
 //!   is **bit-identical** to `netsim::simulate` (the oracle), pinned by
 //!   `mac/tests/ocean_equivalence.rs`.
 //! - [`topology`]: grid/swarm/fleet deployments, the calibrated
 //!   log-distance range-gain fit, and the spatial-hash [`topology::GeoMedium`]
-//!   with O(n·k) neighbor lists.
+//!   with O(n·k) neighbor lists and the hearing-radius cells the event
+//!   core indexes transmissions by.
 //! - [`per_table`]: the analytic PER-vs-range lookup interpolated from
 //!   the recorded fig9/fig12 curves — the fast path for clean receptions.
 //! - [`phy`]: the PER-vs-sample-level dispatch rule and the memoized

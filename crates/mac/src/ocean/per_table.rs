@@ -36,6 +36,51 @@ pub const ADAPTIVE_KNOTS: [(f64, f64); 4] =
 /// beyond 5 m).
 pub const FIXED_KNOTS: [(f64, f64); 4] = [(5.0, 0.025), (10.0, 0.175), (20.0, 0.6), (30.0, 0.975)];
 
+/// Why a knot set cannot back a [`PerTable`]: the band, the offending
+/// knot's index (0 for an empty band) and what is wrong with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KnotError {
+    /// Band whose knots are invalid.
+    pub band: Band,
+    /// Index of the first invalid knot in that band.
+    pub index: usize,
+    /// What is wrong with it.
+    pub kind: KnotErrorKind,
+}
+
+/// The ways a knot can be invalid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnotErrorKind {
+    /// The band has no knots at all.
+    Empty,
+    /// The knot's range or PER is NaN.
+    NotANumber,
+    /// The knot's range is not positive.
+    NonPositiveRange,
+    /// The knot's PER lies outside `[0, 1]`.
+    PerOutOfRange,
+    /// The knot's range does not exceed the previous knot's.
+    Unsorted,
+    /// The knot's PER is below the previous knot's.
+    DecreasingPer,
+}
+
+impl std::fmt::Display for KnotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = match self.kind {
+            KnotErrorKind::Empty => "the band has no knots",
+            KnotErrorKind::NotANumber => "range or PER is NaN",
+            KnotErrorKind::NonPositiveRange => "range is not positive",
+            KnotErrorKind::PerOutOfRange => "PER is outside [0, 1]",
+            KnotErrorKind::Unsorted => "range does not exceed the previous knot's",
+            KnotErrorKind::DecreasingPer => "PER is below the previous knot's",
+        };
+        write!(f, "{:?} knot {}: {what}", self.band, self.index)
+    }
+}
+
+impl std::error::Error for KnotError {}
+
 /// PER-vs-range lookup interpolated from the recorded figure knots.
 ///
 /// Query semantics, pinned by `mac/tests/ocean_per_table.rs`:
@@ -59,23 +104,40 @@ impl PerTable {
     /// The table built from the recorded EXPERIMENTS.md knots.
     pub fn recorded() -> Self {
         Self::from_knots(ADAPTIVE_KNOTS.to_vec(), FIXED_KNOTS.to_vec())
+            .expect("the recorded knots are valid constants")
     }
 
     /// A table from explicit knot sets (tests inject synthetic curves).
-    /// Knots must be non-empty, strictly increasing in range, have PER in
-    /// `[0, 1]` and be non-decreasing in PER.
-    pub fn from_knots(adaptive: Vec<(f64, f64)>, fixed: Vec<(f64, f64)>) -> Self {
-        for knots in [&adaptive, &fixed] {
-            assert!(!knots.is_empty(), "PER table needs at least one knot");
-            for w in knots.windows(2) {
-                assert!(w[0].0 < w[1].0, "knot ranges must strictly increase");
-                assert!(w[0].1 <= w[1].1, "knot PER must be non-decreasing");
+    /// Knots must be non-empty, free of NaN, positive and strictly
+    /// increasing in range, and have PER in `[0, 1]`, non-decreasing; the
+    /// first knot that is not comes back as a [`KnotError`].
+    pub fn from_knots(
+        adaptive: Vec<(f64, f64)>,
+        fixed: Vec<(f64, f64)>,
+    ) -> Result<Self, KnotError> {
+        for (band, knots) in [(Band::Adaptive, &adaptive), (Band::Fixed1to4k, &fixed)] {
+            let err = |index, kind| KnotError { band, index, kind };
+            if knots.is_empty() {
+                return Err(err(0, KnotErrorKind::Empty));
             }
-            for &(r, p) in knots {
-                assert!(r > 0.0 && (0.0..=1.0).contains(&p), "knot ({r}, {p})");
+            for (index, &(r, p)) in knots.iter().enumerate() {
+                let kind = if r.is_nan() || p.is_nan() {
+                    KnotErrorKind::NotANumber
+                } else if r <= 0.0 {
+                    KnotErrorKind::NonPositiveRange
+                } else if !(0.0..=1.0).contains(&p) {
+                    KnotErrorKind::PerOutOfRange
+                } else if index > 0 && knots[index - 1].0 >= r {
+                    KnotErrorKind::Unsorted
+                } else if index > 0 && knots[index - 1].1 > p {
+                    KnotErrorKind::DecreasingPer
+                } else {
+                    continue;
+                };
+                return Err(err(index, kind));
             }
         }
-        Self { adaptive, fixed }
+        Ok(Self { adaptive, fixed })
     }
 
     fn knots(&self, band: Band) -> &[(f64, f64)] {
@@ -147,15 +209,73 @@ mod tests {
         assert!((p - 0.0375).abs() < 1e-12, "{p}");
     }
 
-    #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn rejects_unsorted_knots() {
-        PerTable::from_knots(vec![(10.0, 0.0), (5.0, 0.1)], vec![(5.0, 0.0)]);
+    /// The error `from_knots` gives for `bad` as the fixed band's knots
+    /// (after a valid adaptive band).
+    fn fixed_error(bad: Vec<(f64, f64)>) -> KnotError {
+        PerTable::from_knots(ADAPTIVE_KNOTS.to_vec(), bad).expect_err("invalid knots")
+    }
+
+    fn fixed(index: usize, kind: KnotErrorKind) -> KnotError {
+        KnotError {
+            band: Band::Fixed1to4k,
+            index,
+            kind,
+        }
     }
 
     #[test]
-    #[should_panic(expected = "non-decreasing")]
+    fn rejects_empty_band() {
+        let e = PerTable::from_knots(Vec::new(), FIXED_KNOTS.to_vec()).expect_err("empty");
+        assert_eq!(
+            e,
+            KnotError {
+                band: Band::Adaptive,
+                index: 0,
+                kind: KnotErrorKind::Empty
+            }
+        );
+        assert_eq!(e.to_string(), "Adaptive knot 0: the band has no knots");
+    }
+
+    #[test]
+    fn rejects_nan_knot() {
+        let e = fixed_error(vec![(5.0, 0.0), (f64::NAN, 0.1)]);
+        assert_eq!(e, fixed(1, KnotErrorKind::NotANumber));
+        let e = fixed_error(vec![(5.0, f64::NAN)]);
+        assert_eq!(e, fixed(0, KnotErrorKind::NotANumber));
+    }
+
+    #[test]
+    fn rejects_non_positive_range() {
+        let e = fixed_error(vec![(0.0, 0.0), (5.0, 0.1)]);
+        assert_eq!(e, fixed(0, KnotErrorKind::NonPositiveRange));
+        let e = fixed_error(vec![(-5.0, 0.0)]);
+        assert_eq!(e, fixed(0, KnotErrorKind::NonPositiveRange));
+    }
+
+    #[test]
+    fn rejects_per_outside_unit_interval() {
+        let e = fixed_error(vec![(5.0, 0.5), (10.0, 1.5)]);
+        assert_eq!(e, fixed(1, KnotErrorKind::PerOutOfRange));
+        let e = fixed_error(vec![(5.0, -0.1)]);
+        assert_eq!(e, fixed(0, KnotErrorKind::PerOutOfRange));
+    }
+
+    #[test]
+    fn rejects_unsorted_knots() {
+        let e = fixed_error(vec![(5.0, 0.0), (10.0, 0.1), (10.0, 0.2)]);
+        assert_eq!(e, fixed(2, KnotErrorKind::Unsorted));
+        let e = fixed_error(vec![(10.0, 0.0), (5.0, 0.1)]);
+        assert_eq!(e, fixed(1, KnotErrorKind::Unsorted));
+    }
+
+    #[test]
     fn rejects_non_monotone_per() {
-        PerTable::from_knots(vec![(5.0, 0.5), (10.0, 0.1)], vec![(5.0, 0.0)]);
+        let e = fixed_error(vec![(5.0, 0.5), (10.0, 0.1)]);
+        assert_eq!(e, fixed(1, KnotErrorKind::DecreasingPer));
+        assert_eq!(
+            e.to_string(),
+            "Fixed1to4k knot 1: PER is below the previous knot's"
+        );
     }
 }

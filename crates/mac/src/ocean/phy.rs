@@ -215,11 +215,7 @@ impl PhyResolver {
 fn reception_key(seed: u64, tx: u32, dest: u32, start_bits: u64) -> u64 {
     let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
     for w in [tx as u64, dest as u64, start_bits] {
-        h ^= w;
-        h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
+        h = rand::mix64((h ^ w).wrapping_add(0x9e37_79b9_7f4a_7c15));
     }
     h
 }

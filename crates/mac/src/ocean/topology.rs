@@ -200,46 +200,72 @@ impl OceanTopology {
     }
 }
 
-/// Spatial hash over node positions: uniform cells of `cell` meters,
-/// `(cx, cy) -> node indices`.
-fn build_cells(positions: &[Pos], cell: f64) -> HashMap<(i64, i64), Vec<u32>> {
-    let mut cells: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-    for (i, p) in positions.iter().enumerate() {
-        cells.entry(cell_of(p, cell)).or_default().push(i as u32);
-    }
-    cells
+/// Spatial hash over node positions: uniform square cells `size` meters
+/// wide, numbered in order of first occupant.
+struct Cells {
+    /// Per node: its cell.
+    of: Vec<u32>,
+    /// Per cell: its nodes, ascending.
+    members: Vec<Vec<u32>>,
+    /// Per cell: the occupied cells of its 3×3 block, itself included.
+    /// Every node within `size` of a node lies in that node's block.
+    near: Vec<Vec<u32>>,
 }
 
-fn cell_of(p: &Pos, cell: f64) -> (i64, i64) {
-    ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+impl Cells {
+    fn new(positions: &[Pos], size: f64) -> Self {
+        let mut ids: HashMap<(i64, i64), u32> = HashMap::new();
+        let mut keys = Vec::new();
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        let of = positions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let key = ((p.x / size).floor() as i64, (p.y / size).floor() as i64);
+                let c = *ids.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    members.push(Vec::new());
+                    keys.len() as u32 - 1
+                });
+                members[c as usize].push(i as u32);
+                c
+            })
+            .collect();
+        let near = keys
+            .iter()
+            .map(|&(cx, cy)| {
+                (-1..=1)
+                    .flat_map(|dx| (-1..=1).map(move |dy| (cx + dx, cy + dy)))
+                    .filter_map(|key| ids.get(&key).copied())
+                    .collect()
+            })
+            .collect();
+        Self { of, members, near }
+    }
+
+    /// Every node in the 3×3 block around node `i`'s cell, `i` included.
+    fn around(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        self.near[self.of[i] as usize]
+            .iter()
+            .flat_map(|&c| self.members[c as usize].iter().copied())
+    }
 }
 
 /// Nearest audible neighbor per node ([`NO_DEST`] when none within
 /// `radius`); ties broken toward the lower node index.
 fn nearest_neighbors(positions: &[Pos], radius: f64) -> Vec<u32> {
-    let cells = build_cells(positions, radius);
+    let cells = Cells::new(positions, radius);
     positions
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let (cx, cy) = cell_of(p, radius);
             let mut best = NO_DEST;
             let mut best_d = f64::INFINITY;
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let Some(bucket) = cells.get(&(cx + dx, cy + dy)) else {
-                        continue;
-                    };
-                    for &j in bucket {
-                        if j as usize == i {
-                            continue;
-                        }
-                        let d = p.distance(&positions[j as usize]);
-                        if d <= radius && (d < best_d || (d == best_d && j < best)) {
-                            best_d = d;
-                            best = j;
-                        }
-                    }
+            for j in cells.around(i).filter(|&j| j as usize != i) {
+                let d = p.distance(&positions[j as usize]);
+                if d <= radius && (d < best_d || (d == best_d && j < best)) {
+                    best_d = d;
+                    best = j;
                 }
             }
             best
@@ -248,7 +274,9 @@ fn nearest_neighbors(positions: &[Pos], radius: f64) -> Vec<u32> {
 }
 
 /// Sparse geometric medium: per-node neighbor lists (ascending index)
-/// with precomputed sensed powers from the [`RangeGain`] fit.
+/// with precomputed sensed powers from the [`RangeGain`] fit, and the
+/// hearing-radius cells of its spatial hash for the event core's
+/// live-transmission index.
 #[derive(Debug, Clone)]
 pub struct GeoMedium {
     positions: Vec<Pos>,
@@ -257,6 +285,11 @@ pub struct GeoMedium {
     neighbors: Vec<Vec<u32>>,
     /// Per node: sensed power of the matching neighbor (same order).
     powers: Vec<Vec<f64>>,
+    /// Per node: its hearing-radius cell.
+    cell: Vec<u32>,
+    /// Per cell: the occupied cells of its 3×3 block, which hold every
+    /// neighbor of every node in the cell.
+    near: Vec<Vec<u32>>,
 }
 
 impl GeoMedium {
@@ -264,24 +297,15 @@ impl GeoMedium {
     /// of `rg` ([`RangeGain::hearing_radius`]).
     pub fn new(positions: Vec<Pos>, rg: RangeGain) -> Self {
         let radius = rg.hearing_radius();
-        let cells = build_cells(&positions, radius);
+        let cells = Cells::new(&positions, radius);
         let n = positions.len();
         let mut neighbors = Vec::with_capacity(n);
         let mut powers = Vec::with_capacity(n);
         for (i, p) in positions.iter().enumerate() {
-            let (cx, cy) = cell_of(p, radius);
-            let mut near: Vec<u32> = Vec::new();
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    if let Some(bucket) = cells.get(&(cx + dx, cy + dy)) {
-                        for &j in bucket {
-                            if j as usize != i && p.distance(&positions[j as usize]) <= radius {
-                                near.push(j);
-                            }
-                        }
-                    }
-                }
-            }
+            let mut near: Vec<u32> = cells
+                .around(i)
+                .filter(|&j| j as usize != i && p.distance(&positions[j as usize]) <= radius)
+                .collect();
             near.sort_unstable();
             let pw = near
                 .iter()
@@ -295,6 +319,8 @@ impl GeoMedium {
             rg,
             neighbors,
             powers,
+            cell: cells.of,
+            near: cells.near,
         }
     }
 
@@ -341,6 +367,18 @@ impl Medium for GeoMedium {
             Ok(k) => self.powers[rx][k],
             Err(_) => 0.0,
         }
+    }
+    fn gain_at(&self, rx: usize, k: usize) -> f64 {
+        self.powers[rx][k]
+    }
+    fn cell_count(&self) -> usize {
+        self.near.len()
+    }
+    fn cell_of(&self, node: usize) -> usize {
+        self.cell[node] as usize
+    }
+    fn cells_near(&self, node: usize) -> &[u32] {
+        &self.near[self.cell[node] as usize]
     }
 }
 
@@ -396,6 +434,31 @@ mod tests {
         }
         if m.range_m(0, 63) > m.range_gain().hearing_radius() {
             assert_eq!(m.gain(0, 63), 0.0, "out-of-range pair has zero gain");
+        }
+    }
+
+    #[test]
+    fn geo_medium_cells_near_hold_every_neighbor() {
+        let rg = RangeGain::lake();
+        for kind in [TopologyKind::Grid, TopologyKind::Swarm, TopologyKind::Fleet] {
+            let topo = OceanTopology::generate(kind, 400, 5, &rg);
+            let m = GeoMedium::new(topo.positions, rg);
+            assert!(m.cell_count() > 1, "{kind:?}: one cell proves nothing");
+            for i in 0..400 {
+                let near = m.cells_near(i);
+                let mut distinct = near.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), near.len(), "distinct cells");
+                assert!(near.contains(&(m.cell_of(i) as u32)), "own cell");
+                for (k, &j) in m.neighbors_of(i).iter().enumerate() {
+                    assert!(
+                        near.contains(&(m.cell_of(j as usize) as u32)),
+                        "{kind:?} {i} {j}"
+                    );
+                    assert_eq!(m.gain_at(i, k).to_bits(), m.gain(j as usize, i).to_bits());
+                }
+            }
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Property suite for the analytic PER lookup table: monotone in range
 //! within each band, clamped to `[0, 1]`, exact at the recorded
 //! fig9/fig12 knots, and the same guarantees for arbitrary synthetic knot
-//! sets. The sample-level cross-check (a real trial series at a knot
+//! sets, which `from_knots` accepts only in ascending range order. The sample-level cross-check (a real trial series at a knot
 //! distance landing inside the recorded confidence interval) lives in
 //! `eval/tests/per_calibration.rs` next to the trial machinery.
 
-use aqua_mac::ocean::per_table::{Band, PerTable, ADAPTIVE_KNOTS, FIXED_KNOTS};
+use aqua_mac::ocean::per_table::{Band, KnotErrorKind, PerTable, ADAPTIVE_KNOTS, FIXED_KNOTS};
 use proptest::prelude::*;
 
 #[test]
@@ -83,6 +83,13 @@ proptest! {
             })
             .collect();
         let t = PerTable::from_knots(knots.clone(), knots.clone());
+        prop_assert!(t.is_ok(), "valid knots rejected: {:?}", t.err());
+        let t = t.unwrap();
+        // The same knots in descending range order are rejected at the
+        // second knot.
+        let reversed: Vec<(f64, f64)> = knots.iter().rev().copied().collect();
+        let e = PerTable::from_knots(knots.clone(), reversed).err();
+        prop_assert_eq!(e.map(|e| (e.band, e.index, e.kind)), Some((Band::Fixed1to4k, 1, KnotErrorKind::Unsorted)));
         for &(r, p) in &knots {
             prop_assert_eq!(t.per(Band::Adaptive, r).to_bits(), p.to_bits());
         }

@@ -35,7 +35,7 @@ fn neighbor_packet_reads_busy_on_real_audio() {
 
     // a real modem packet from node a, one second into the experiment
     let params = OfdmParams::default();
-    let packet = modulate_data(&params, Band::new(0, 59), &vec![1u8; 16]);
+    let packet = modulate_data(&params, Band::new(0, 59), &[1u8; 16]);
     medium.transmit(a, 48_000, &packet);
 
     // before the packet: idle
@@ -89,7 +89,7 @@ fn distant_transmitter_below_margin_reads_idle() {
     let mut cs = CarrierSense::new(48_000.0, threshold);
 
     let params = OfdmParams::default();
-    let packet = modulate_data(&params, Band::new(0, 59), &vec![0u8; 16]);
+    let packet = modulate_data(&params, Band::new(0, 59), &[0u8; 16]);
     medium.transmit(a, 48_000, &packet);
     cs.feed(&medium.capture(b, 53_000, 7_680));
     assert!(

@@ -429,10 +429,7 @@ fn quantile(xs: &[f64], q: f64) -> f64 {
 
 /// Deterministic per-node seed derivation (splitmix64 finalizer).
 fn node_seed(seed: u64, node: usize) -> u64 {
-    let mut z = seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rand::mix64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Deterministic message payload: pseudo-random bytes keyed by flow.
