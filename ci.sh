@@ -7,11 +7,11 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -p aqua-mac --all-targets (warnings are errors)"
-# aqua-mac's targets and the libraries it builds on are clippy-clean;
-# the rest of the workspace still carries warnings, so the gate covers
-# this closure only.
-cargo clippy -p aqua-mac --all-targets -- -D warnings
+echo "==> cargo clippy -p aqua-mac -p aqua-net --all-targets (warnings are errors)"
+# aqua-mac's and aqua-net's targets and the libraries they build on are
+# clippy-clean; the rest of the workspace still carries warnings, so the
+# gate covers these closures only.
+cargo clippy -p aqua-mac -p aqua-net --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -89,11 +89,16 @@ echo "==> ocean simulator: oracle equivalence + parallel determinism + stream pi
 # pools on real deployments. ocean_stream_pinned hashes every
 # transmission and every Reception (interferers in order, floats by
 # bits) of sparse 300-400-node grid, swarm, fleet and churned runs, where
-# a node hears only its neighbourhood. (Debug `cargo test -q` above runs
-# them too; this names them so a red shows up next to the contract it
-# broke.)
+# a node hears only its neighbourhood. The probe_table_* unit tests pin
+# the process-wide lake probe table: every bucket inside the hearing
+# radius equals a fresh render bit for bit (all of them here, a stride in
+# debug), four racing threads read identical bits, a cache counts only
+# its own reads however warm the table is, and a range past the table
+# renders fresh. (Debug `cargo test -q` above runs them too; this names
+# them so a red shows up next to the contract it broke.)
 cargo test -q -p aqua-mac --release --test ocean_equivalence --test ocean_determinism \
   --test ocean_stream_pinned
+cargo test -q -p aqua-mac --release --lib -- ocean::phy::tests::probe_table_
 cargo test -q -p aqua-eval --release --test per_calibration
 
 echo "==> bulk transfer: RS codec proptests + parser fuzz + end-to-end suite"
@@ -166,12 +171,13 @@ check_budget mean "rs_stripe_2kb" 1
 
 echo "==> perf smoke: ocean_events_per_second (PR 6 event-driven core)"
 # One quick-size 150-node, 30-simulated-minute grid run per iteration:
-# ~80-140 ms mean on a 2-vCPU x86_64 guest as host load varies
-# (~20-35 k events/s single-worker at quick size, where building the
-# deployment and its probe renders outweighs the event core; the
-# 10 000-node full deployment sustains 1.6-3.3 M events/s at 1 worker
-# as per-event costs amortize). Gate at 2-4x slack: a regression to
-# per-slot scanning would cost >100x, not 2x.
+# ~4 ms mean on a 2-vCPU x86_64 guest (~0.7 M events/s single-worker
+# at quick size). The warm-up run fills the process-wide probe table,
+# so timed iterations render no probes; re-rendering the run's 121
+# buckets would add ~100 ms, which this budget does not catch. The
+# 10 000-node full deployment sustains 1-3.3 M events/s at 1 worker.
+# The budget stays 300 ms: a regression to per-slot scanning would
+# cost >100x.
 BENCH_OUT=$(cargo bench -p aqua-bench --bench ocean_events)
 echo "$BENCH_OUT"
 check_budget mean "ocean_events_per_second" 300

@@ -238,7 +238,7 @@ impl BlockAck {
         let mut bits = self.content_bits();
         let crc = crc16(&bits_to_bytes(&bits));
         bits.extend(value_to_bits(crc as u64, ACK_CRC_BITS));
-        while bits.len() % ACK_TONE_BITS != 0 {
+        while !bits.len().is_multiple_of(ACK_TONE_BITS) {
             bits.push(0);
         }
         let mut tones: Vec<usize> = bits

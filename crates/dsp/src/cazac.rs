@@ -45,13 +45,6 @@ pub fn periodic_autocorr(seq: &[Complex], lag: usize) -> Complex {
     (0..n).map(|i| seq[i] * seq[(i + lag) % n].conj()).sum()
 }
 
-/// Peak-to-average power ratio of a sequence (linear, not dB).
-pub fn papr(seq: &[Complex]) -> f64 {
-    let peak = seq.iter().map(|c| c.norm_sqr()).fold(0.0, f64::max);
-    let avg = seq.iter().map(|c| c.norm_sqr()).sum::<f64>() / seq.len() as f64;
-    peak / avg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,8 +52,12 @@ mod tests {
     #[test]
     fn zadoff_chu_has_unit_papr() {
         for (root, len) in [(1, 60), (7, 60), (5, 63), (3, 64)] {
+            // Constant amplitude: every sample's power is the mean power.
             let seq = zadoff_chu(root, len);
-            assert!((papr(&seq) - 1.0).abs() < 1e-12, "root {root} len {len}");
+            assert!(
+                seq.iter().all(|c| (c.norm_sqr() - 1.0).abs() < 1e-12),
+                "root {root} len {len}"
+            );
         }
     }
 

@@ -28,22 +28,6 @@ pub fn goertzel_power(signal: &[f64], freq: f64, fs: f64) -> f64 {
     goertzel(signal, freq, fs).norm_sqr()
 }
 
-/// Evaluates Goertzel power at several frequencies and returns the index of
-/// the strongest one together with all powers.
-pub fn strongest_tone(signal: &[f64], freqs: &[f64], fs: f64) -> (usize, Vec<f64>) {
-    let powers: Vec<f64> = freqs
-        .iter()
-        .map(|&f| goertzel_power(signal, f, fs))
-        .collect();
-    let best = powers
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    (best, powers)
-}
-
 /// Sliding-window Goertzel bank: tracks the DFT coefficients of a fixed
 /// set of integer bins over the most recent `n` samples, updated in
 /// O(bins) per sample instead of an O(n log n) FFT per window position.
@@ -175,17 +159,6 @@ mod tests {
         let p_on = goertzel_power(&sig, 2500.0, fs);
         let p_off = goertzel_power(&sig, 3100.0, fs);
         assert!(p_on > 1000.0 * p_off);
-    }
-
-    #[test]
-    fn strongest_tone_picks_correct_fsk_symbol() {
-        let fs = 48000.0;
-        let f0 = 2000.0;
-        let f1 = 3000.0;
-        let sig = tone(f1, 4800, fs);
-        let (idx, powers) = strongest_tone(&sig, &[f0, f1], fs);
-        assert_eq!(idx, 1);
-        assert!(powers[1] > powers[0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The time-domain MMSE equalizer solves a Toeplitz normal-equation system
 //! (autocorrelation matrix of the received training signal); Levinson–Durbin
-//! solves it in O(n²). A dense Cholesky solver backs the general case and
-//! cross-checks Levinson in tests.
+//! solves it in O(n²). A dense Cholesky factorization tests matrices for
+//! positive definiteness.
 
 /// Solves the symmetric positive-definite Toeplitz system `T x = b`, where
 /// `T[i][j] = r[|i-j|]`, via the Levinson recursion. Returns `None` if the
@@ -82,43 +82,11 @@ pub fn cholesky(a: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
     Some(l)
 }
 
-/// Solves `A x = b` for symmetric positive-definite `A` via Cholesky.
-pub fn cholesky_solve(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
-    let l = cholesky(a)?;
-    let n = b.len();
-    // forward solve L y = b
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut sum = b[i];
-        for k in 0..i {
-            sum -= l[i][k] * y[k];
-        }
-        y[i] = sum / l[i][i];
-    }
-    // back solve L^T x = y
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut sum = y[i];
-        for k in i + 1..n {
-            sum -= l[k][i] * x[k];
-        }
-        x[i] = sum / l[i][i];
-    }
-    Some(x)
-}
-
 /// Builds the full Toeplitz matrix from its first column (symmetric case),
 /// mainly for tests and for small regularized solves.
 pub fn toeplitz_matrix(r: &[f64], n: usize) -> Vec<Vec<f64>> {
     (0..n)
         .map(|i| (0..n).map(|j| r[i.abs_diff(j)]).collect())
-        .collect()
-}
-
-/// Matrix-vector product for a row-major dense matrix.
-pub fn matvec(a: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
-    a.iter()
-        .map(|row| row.iter().zip(x).map(|(r, v)| r * v).sum())
         .collect()
 }
 
@@ -153,27 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn levinson_matches_cholesky() {
-        for n in [1usize, 2, 5, 16, 40] {
-            let sig = rand_seq(400, n as u64 * 17 + 3);
-            let mut r = autocorr(&sig, n);
-            r[0] += 0.1; // diagonal loading for conditioning
-            let b = rand_seq(n, n as u64 + 99);
-            let x1 = levinson_solve(&r, &b).expect("levinson");
-            let a = toeplitz_matrix(&r, n);
-            let x2 = cholesky_solve(&a, &b).expect("cholesky");
-            for i in 0..n {
-                assert!(
-                    (x1[i] - x2[i]).abs() < 1e-6,
-                    "n {n} i {i}: {} vs {}",
-                    x1[i],
-                    x2[i]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn levinson_solution_satisfies_system() {
         let n = 24;
         let sig = rand_seq(500, 42);
@@ -181,10 +128,9 @@ mod tests {
         r[0] *= 1.01;
         let b = rand_seq(n, 7);
         let x = levinson_solve(&r, &b).unwrap();
-        let a = toeplitz_matrix(&r, n);
-        let bx = matvec(&a, &x);
-        for i in 0..n {
-            assert!((bx[i] - b[i]).abs() < 1e-7);
+        for (row, bi) in toeplitz_matrix(&r, n).iter().zip(&b) {
+            let ax: f64 = row.iter().zip(&x).map(|(a, xj)| a * xj).sum();
+            assert!((ax - bi).abs() < 1e-7);
         }
     }
 

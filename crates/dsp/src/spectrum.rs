@@ -140,32 +140,6 @@ pub fn stft(signal: &[f64], segment_len: usize, hop: usize, fs: f64, window: Win
     }
 }
 
-/// Estimates the frequency response of a channel from a transmitted chirp
-/// and the received signal: per-bin ratio of received to transmitted PSD, in
-/// dB, restricted to `lo_hz..hi_hz`. This mirrors the paper's Fig. 3
-/// methodology (send a chirp, inspect the received spectrum).
-pub fn chirp_response_db(
-    tx: &[f64],
-    rx: &[f64],
-    fs: f64,
-    lo_hz: f64,
-    hi_hz: f64,
-    segment_len: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let ptx = welch_psd(tx, segment_len, fs, Window::Hann);
-    let prx = welch_psd(rx, segment_len, fs, Window::Hann);
-    let mut freqs = Vec::new();
-    let mut resp = Vec::new();
-    for k in 0..ptx.freqs.len() {
-        let f = ptx.freqs[k];
-        if f >= lo_hz && f <= hi_hz && ptx.power[k] > 1e-20 {
-            freqs.push(f);
-            resp.push(10.0 * (prx.power[k].max(1e-30) / ptx.power[k]).log10());
-        }
-    }
-    (freqs, resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,18 +195,6 @@ mod tests {
         let norm = psd.normalized_db();
         let max = norm.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(max.abs() < 1e-9);
-    }
-
-    #[test]
-    fn chirp_response_recovers_flat_channel() {
-        let fs = 48000.0;
-        let tx = crate::chirp::linear_chirp(1000.0, 5000.0, 0.5, fs);
-        let rx: Vec<f64> = tx.iter().map(|v| v * 0.5).collect(); // -6 dB flat
-        let (freqs, resp) = chirp_response_db(&tx, &rx, fs, 1200.0, 4800.0, 1024);
-        assert!(!freqs.is_empty());
-        for r in resp {
-            assert!((r - (-6.02)).abs() < 0.5, "response {r}");
-        }
     }
 
     #[test]

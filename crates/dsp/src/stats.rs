@@ -1,5 +1,5 @@
-//! Statistics helpers: percentiles/CDFs for the evaluation figures and the
-//! Gaussian Q-function for the theoretical BPSK BER curve (Fig. 8).
+//! Statistics helpers: means and percentiles for the evaluation figures
+//! and the Gaussian Q-function for the theoretical BPSK BER curve (Fig. 8).
 
 /// Mean of a slice (0.0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -7,15 +7,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Unbiased sample standard deviation (0.0 for fewer than 2 samples).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
 /// Percentile via linear interpolation on sorted order statistics.
@@ -38,27 +29,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 /// Median (50th percentile).
 pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
-}
-
-/// Empirical CDF: returns `(value, fraction ≤ value)` pairs sorted by value.
-pub fn ecdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = sorted.len() as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, (i + 1) as f64 / n))
-        .collect()
-}
-
-/// Evaluates the empirical CDF at fixed probability levels, producing the
-/// compact "CDF rows" used in EXPERIMENTS.md tables.
-pub fn cdf_at_levels(xs: &[f64], levels: &[f64]) -> Vec<(f64, f64)> {
-    levels
-        .iter()
-        .map(|&p| (percentile(xs, p * 100.0), p))
-        .collect()
 }
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26-style rational
@@ -123,17 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_is_monotone_and_ends_at_one() {
-        let xs = vec![3.0, 1.0, 2.0, 2.0, 5.0];
-        let cdf = ecdf(&xs);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn erfc_matches_reference_values() {
         // Reference values from standard tables.
         let cases = [
@@ -171,18 +130,5 @@ mod tests {
         for x in [0.001, 0.5, 1.0, 42.0] {
             assert!((from_db(to_db(x)) - x).abs() / x < 1e-12);
         }
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        assert_eq!(stddev(&[2.0, 2.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn cdf_levels_are_sorted_values() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let rows = cdf_at_levels(&xs, &[0.1, 0.5, 0.9]);
-        assert!((rows[1].0 - 49.5).abs() < 1.0);
-        assert!(rows[0].0 < rows[1].0 && rows[1].0 < rows[2].0);
     }
 }

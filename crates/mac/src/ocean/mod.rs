@@ -145,7 +145,9 @@ pub struct OceanResult {
     pub peak_heap: usize,
     /// Peak collision-window length (memory-bound witness).
     pub peak_collision_window: usize,
-    /// Sample-level probe renders paid over the whole run.
+    /// Distinct lake probe buckets the run read. Each bucket is rendered
+    /// sample-level at most once per process, so this counts the renders
+    /// the run pays in a fresh process.
     pub probe_renders: usize,
     /// Mean audible-neighbor count of the topology.
     pub mean_degree: f64,

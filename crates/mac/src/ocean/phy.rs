@@ -11,9 +11,12 @@
 //! through the same multipath + device chain as every dive-site
 //! experiment, riding the PR 4 bit-exact geometry-keyed FIR memo), the
 //! SINR over the overlap is formed, and the equivalent interference-free
-//! range at that SINR indexes the same PER table. Probe renders are
-//! memoized per 0.5 m range bucket in [`ProbeCache`], so a 10 000-node
-//! run performs a few hundred sample-level renders, not millions.
+//! range at that SINR indexes the same PER table. Probe powers live in
+//! one process-wide table of 0.5 m range buckets behind [`ProbeCache`]:
+//! each bucket is rendered sample-level once per process, on first read,
+//! so every run, repetition and relay simulation in a process shares at
+//! most a few hundred renders (the lake hearing radius spans 246
+//! buckets), and reads take no lock.
 //!
 //! Every outcome is a pure function of `(reception, seed)`: the Bernoulli
 //! draw comes from a per-reception `StdRng` keyed by
@@ -27,43 +30,81 @@ use aqua_channel::geometry::Pos;
 use aqua_channel::link::{Link, LinkConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use super::event::Reception;
 use super::per_table::{Band, PerTable};
 use super::topology::{RangeGain, TX_POWER};
-
-/// Probe-power cache: mean-square received power of the standard wideband
-/// probe, rendered sample-level through the real channel at quantized
-/// ranges.
-///
-/// Renders are lazy and memoized per 0.5 m bucket behind a mutex; the
-/// cached value is a pure function of the bucket (fixed probe seed, fixed
-/// geometry), so concurrent fills from pool workers cannot perturb
-/// results — only who pays the render.
-pub struct ProbeCache {
-    env: Environment,
-    cells: Mutex<HashMap<u32, f64>>,
-}
 
 /// Range quantization of the probe cache (meters per bucket).
 pub const PROBE_BUCKET_M: f64 = 0.5;
 const PROBE_SEED: u64 = 0x0CEA_0CEA;
 const PROBE_SAMPLES: usize = 4800; // 0.1 s at 48 kHz
 
-impl ProbeCache {
-    /// A cache rendering probes in the given environment at 2 m depth.
-    pub fn new(env: Environment) -> Self {
-        Self {
-            env,
-            cells: Mutex::new(HashMap::new()),
-        }
-    }
+/// Buckets in the process-wide probe table: ranges up to 256 m, about
+/// twice the lake hearing radius (~123 m, bucket 246).
+const PROBE_TABLE_BUCKETS: usize = 512;
 
-    /// The lake cache (the calibration environment of the PER knots).
+/// Lake probe power per bucket, rendered on first read and never again
+/// in this process. Each value is a pure function of its bucket (fixed
+/// probe seed, fixed geometry), so which thread or run fills a slot
+/// cannot change it.
+static PROBE_TABLE: [OnceLock<f64>; PROBE_TABLE_BUCKETS] =
+    [const { OnceLock::new() }; PROBE_TABLE_BUCKETS];
+
+/// Mean-square received power of the standard wideband probe, rendered
+/// sample-level through the real lake channel at the centre of `bucket`.
+fn render_probe(bucket: u32) -> f64 {
+    let r = bucket as f64 * PROBE_BUCKET_M;
+    let mut cfg = LinkConfig::s9_pair(
+        Environment::preset(Site::Lake),
+        Pos::new(0.0, 0.0, 2.0),
+        Pos::new(r, 0.0, 2.0),
+        PROBE_SEED,
+    );
+    cfg.noise = false;
+    cfg.impulses = false;
+    let mut link = Link::new(cfg);
+    let mut rng = StdRng::seed_from_u64(PROBE_SEED ^ bucket as u64);
+    // Uniform white probe scaled to the standard TX_POWER band
+    // power (rms² = 0.04): uniform on [-1, 1] has power 1/3.
+    let scale = (TX_POWER * 3.0).sqrt();
+    let probe: Vec<f64> = (0..PROBE_SAMPLES)
+        .map(|_| rng.gen_range(-1.0..=1.0) * scale)
+        .collect();
+    let rx = link.transmit(&probe, 0.0);
+    rx.iter().map(|&x| x * x).sum::<f64>() / rx.len().max(1) as f64
+}
+
+/// One run's view of the process-wide lake probe table: mean-square
+/// received power of the standard wideband probe, rendered sample-level
+/// through the real channel at 0.5 m range buckets at 2 m depth.
+///
+/// Reads take no lock: the powers live in a `static` table of
+/// `OnceLock`s that the first reader of a bucket fills, whichever run or
+/// pool worker it belongs to. The cache itself only records which
+/// buckets it read (an atomic bitset), so [`Self::rendered_buckets`]
+/// counts this run's buckets however warm the table already was. A range
+/// whose bucket lies past the table (about 256 m and beyond) is rendered
+/// on every read and stored nowhere.
+pub struct ProbeCache {
+    /// Bit `b` is set once bucket `b` was read. Both counters are
+    /// statistics that publish no other data, so `Relaxed` suffices: the
+    /// run reads them after its pool calls have joined.
+    read: [AtomicU64; PROBE_TABLE_BUCKETS / 64],
+    /// Reads past the table, each of which rendered.
+    past_table: AtomicUsize,
+}
+
+impl ProbeCache {
+    /// A cache over the lake table (the calibration environment of the
+    /// PER knots) that has read nothing yet.
     pub fn lake() -> Self {
-        Self::new(Environment::preset(Site::Lake))
+        Self {
+            read: [const { AtomicU64::new(0) }; PROBE_TABLE_BUCKETS / 64],
+            past_table: AtomicUsize::new(0),
+        }
     }
 
     fn bucket(range_m: f64) -> u32 {
@@ -74,34 +115,30 @@ impl ProbeCache {
     /// the cache bucket.
     pub fn power(&self, range_m: f64) -> f64 {
         let b = Self::bucket(range_m);
-        let mut cells = self.cells.lock().expect("probe cache poisoned");
-        *cells.entry(b).or_insert_with(|| {
-            let r = b as f64 * PROBE_BUCKET_M;
-            let mut cfg = LinkConfig::s9_pair(
-                self.env.clone(),
-                Pos::new(0.0, 0.0, 2.0),
-                Pos::new(r, 0.0, 2.0),
-                PROBE_SEED,
-            );
-            cfg.noise = false;
-            cfg.impulses = false;
-            let mut link = Link::new(cfg);
-            let mut rng = StdRng::seed_from_u64(PROBE_SEED ^ b as u64);
-            // Uniform white probe scaled to the standard TX_POWER band
-            // power (rms² = 0.04): uniform on [-1, 1] has power 1/3.
-            let scale = (TX_POWER * 3.0).sqrt();
-            let probe: Vec<f64> = (0..PROBE_SAMPLES)
-                .map(|_| rng.gen_range(-1.0..=1.0) * scale)
-                .collect();
-            let rx = link.transmit(&probe, 0.0);
-            rx.iter().map(|&x| x * x).sum::<f64>() / rx.len().max(1) as f64
-        })
+        let Some(slot) = PROBE_TABLE.get(b as usize) else {
+            self.past_table.fetch_add(1, Ordering::Relaxed);
+            return render_probe(b);
+        };
+        let (word, bit) = (&self.read[b as usize / 64], 1u64 << (b % 64));
+        // Load first: once a bucket is marked, reads leave the word's
+        // cache line shared between workers.
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+        *slot.get_or_init(|| render_probe(b))
     }
 
-    /// Number of distinct range buckets rendered so far (the count of
-    /// sample-level link renders the whole run paid).
+    /// Distinct table buckets this cache read, plus one for every read
+    /// past the table (each of which renders). Every table bucket is
+    /// rendered at most once per process, so this is the count of
+    /// sample-level renders the run would pay in a fresh process.
     pub fn rendered_buckets(&self) -> usize {
-        self.cells.lock().expect("probe cache poisoned").len()
+        let in_table: u32 = self
+            .read
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones())
+            .sum();
+        in_table as usize + self.past_table.load(Ordering::Relaxed)
     }
 }
 
@@ -136,7 +173,8 @@ pub struct PhyResolver {
 
 impl PhyResolver {
     /// A resolver for the given band using the recorded PER table, the
-    /// lake probe cache and per-reception RNG keyed by `seed`.
+    /// process-wide lake probe table and per-reception RNG keyed by
+    /// `seed`.
     pub fn new(band: Band, rg: RangeGain, packet_duration_s: f64, seed: u64) -> Self {
         Self {
             table: PerTable::recorded(),
@@ -148,13 +186,15 @@ impl PhyResolver {
         }
     }
 
-    /// Sample-level renders performed so far.
+    /// Distinct probe buckets this resolver read so far (see
+    /// [`ProbeCache::rendered_buckets`]): the sample-level renders it
+    /// would pay in a fresh process.
     pub fn rendered_buckets(&self) -> usize {
         self.probe.rendered_buckets()
     }
 
-    /// Resolves one reception. Pure in `(rx, self.seed)` up to the
-    /// memoized probe renders (whose values are themselves pure).
+    /// Resolves one reception. Pure in `(rx, self.seed)`: the probe
+    /// table's values are themselves pure functions of their buckets.
     pub fn resolve(&self, rx: &Reception) -> RxOutcome {
         let prop = rx.arrival_s - rx.start_s;
         let range = (prop * super::event::SOUND_SPEED).max(1.0);
@@ -265,8 +305,11 @@ mod tests {
         let mut delivered_clean = 0;
         let mut delivered_jammed = 0;
         for k in 0..40 {
+            // Vary the Bernoulli key; the arrival moves with the start,
+            // so every reception crosses the same 25 m link.
             let mut rx = clean_rx(25.0);
-            rx.start_s = k as f64; // vary the Bernoulli key
+            rx.start_s = k as f64;
+            rx.arrival_s = rx.start_s + 25.0 / super::super::event::SOUND_SPEED;
             if phy.resolve(&rx).delivered {
                 delivered_clean += 1;
             }
@@ -314,5 +357,95 @@ mod tests {
         let again = probe.power(5.1);
         assert_eq!(again.to_bits(), probe.power(5.0).to_bits());
         assert_eq!(probe.rendered_buckets(), 2);
+    }
+
+    // The probe_table_* tests are the shared table's contract; ci.sh runs
+    // them in release, where the first one covers every bucket.
+
+    #[test]
+    fn probe_table_matches_fresh_renders() {
+        // Buckets 2..=246 span the lake hearing radius (1-123 m). Reads
+        // land off the bucket centre, so a table keyed by the first range
+        // read instead of by bucket shows.
+        let stride = if cfg!(debug_assertions) { 8 } else { 1 };
+        let probe = ProbeCache::lake();
+        for b in (2..=246u32).step_by(stride) {
+            let r = b as f64 * PROBE_BUCKET_M + 0.2;
+            assert_eq!(
+                probe.power(r).to_bits(),
+                render_probe(b).to_bits(),
+                "bucket {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn probe_table_reads_agree_across_threads() {
+        // Buckets 300..332 (150-166 m) lie past the hearing radius, so no
+        // other test or run fills them: the four threads race to render.
+        let buckets: Vec<u32> = (300..332).collect();
+        let probe = ProbeCache::lake();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<(u32, u64)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (probe, start, buckets) = (&probe, &start, &buckets);
+                    s.spawn(move || {
+                        let mut order: Vec<u32> = buckets.clone();
+                        order.rotate_left(t * 8);
+                        if t % 2 == 1 {
+                            order.reverse();
+                        }
+                        start.wait();
+                        let mut got: Vec<(u32, u64)> = order
+                            .iter()
+                            .map(|&b| (b, probe.power(b as f64 * PROBE_BUCKET_M).to_bits()))
+                            .collect();
+                        got.sort_unstable();
+                        got
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for got in &seen[1..] {
+            assert_eq!(got, &seen[0]);
+        }
+        for &(b, bits) in &seen[0] {
+            assert_eq!(bits, render_probe(b).to_bits(), "bucket {b}");
+        }
+        assert_eq!(probe.rendered_buckets(), buckets.len());
+    }
+
+    #[test]
+    fn probe_table_counts_only_this_caches_reads() {
+        let warm = ProbeCache::lake();
+        for r in [10.0, 20.0, 30.0] {
+            warm.power(r);
+        }
+        assert_eq!(warm.rendered_buckets(), 3);
+        // A later cache starts from zero however warm the table is, and
+        // counts a bucket once however often it reads it.
+        let fresh = ProbeCache::lake();
+        assert_eq!(fresh.rendered_buckets(), 0);
+        fresh.power(20.0);
+        fresh.power(20.1);
+        fresh.power(40.0);
+        assert_eq!(fresh.rendered_buckets(), 2);
+        assert_eq!(warm.rendered_buckets(), 3);
+    }
+
+    #[test]
+    fn probe_table_past_the_end_renders_fresh() {
+        let probe = ProbeCache::lake();
+        let last = (PROBE_TABLE_BUCKETS - 1) as u32;
+        let past = PROBE_TABLE_BUCKETS as u32;
+        let last_r = last as f64 * PROBE_BUCKET_M;
+        let past_r = past as f64 * PROBE_BUCKET_M;
+        assert_eq!(probe.power(last_r).to_bits(), render_probe(last).to_bits());
+        assert_eq!(probe.power(past_r).to_bits(), render_probe(past).to_bits());
+        // Past the table nothing is stored: each read renders and counts.
+        assert_eq!(probe.power(past_r).to_bits(), render_probe(past).to_bits());
+        assert_eq!(probe.rendered_buckets(), 3);
     }
 }

@@ -160,7 +160,7 @@ impl Bundle {
                 got: bits.len(),
             });
         }
-        if bits.len() % 8 != 0 {
+        if !bits.len().is_multiple_of(8) {
             return Err(NetParseError::LengthMismatch {
                 expect: bits.len() / 8 * 8,
                 got: bits.len(),

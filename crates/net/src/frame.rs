@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn reserved_tag_rejected() {
         let mut bits = value_to_bits(3, 2);
-        bits.extend(std::iter::repeat(0).take(56));
+        bits.extend(std::iter::repeat_n(0, 56));
         assert_eq!(
             Frame::try_from_bits(&bits).unwrap_err(),
             NetParseError::BadTag(3)

@@ -20,10 +20,14 @@ fn cfg() -> RelayConfig {
     }
 }
 
+/// Queue keys with copy budgets, pending fragment keys and delivered
+/// message ids.
+type DurableState = (Vec<(BundleKey, u8)>, Vec<BundleKey>, Vec<(u16, u16)>);
+
 /// The durable fraction of a relay's state: everything recovery
 /// promises to reconstruct. Volatile state (retry timers, neighbor
 /// tables, spray exclusions) is deliberately absent.
-fn durable_state(n: &RelayNode) -> (Vec<(BundleKey, u8)>, Vec<BundleKey>, Vec<(u16, u16)>) {
+fn durable_state(n: &RelayNode) -> DurableState {
     let mut queue = n.queue_snapshot();
     queue.sort();
     let mut frags = n.pending_frag_keys();

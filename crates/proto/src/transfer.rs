@@ -91,7 +91,7 @@ impl Fragment {
                 got: bits.len(),
             });
         }
-        if bits.len() % 8 != 0 {
+        if !bits.len().is_multiple_of(8) {
             return Err(ParseError::BadLength {
                 expect: bits.len() / 8 * 8,
                 got: bits.len(),
