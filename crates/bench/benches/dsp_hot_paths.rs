@@ -12,7 +12,7 @@ use aqua_phy::bandselect::Band;
 use aqua_phy::bandselect::{select_band, BandSelectConfig};
 use aqua_phy::chanest::estimate;
 use aqua_phy::equalizer::{design_fd, DEFAULT_EQ_LEN};
-use aqua_phy::feedback::{decode_feedback, decode_feedback_batch, encode_feedback};
+use aqua_phy::feedback::{decode_feedback_batch, decode_feedback_whitened, encode_feedback};
 use aqua_phy::params::OfdmParams;
 use aqua_phy::preamble::{detect, DetectorConfig, Preamble, StreamingDetector};
 
@@ -41,7 +41,7 @@ fn fft_960(c: &mut Criterion) {
     // convolution path; next_power_of_two lands on a 32768-point plan).
     let tx: Vec<f64> = (0..24_000).map(|i| (i as f64 * 0.13).sin()).collect();
     let fir: Vec<f64> = (0..2_048)
-        .map(|i| ((i as f64 * 0.71).sin() / (i + 1) as f64))
+        .map(|i| (i as f64 * 0.71).sin() / (i + 1) as f64)
         .collect();
     c.bench_function("fft_convolve_0.5s_render", |b| {
         b.iter(|| black_box(aqua_dsp::fir::fft_convolve(black_box(&tx), black_box(&fir))))
@@ -136,7 +136,7 @@ fn feedback_pipeline(c: &mut Criterion) {
     rx.extend(vec![0.0; 500]);
     // the live path: sliding-Goertzel bank, O(num_bins) per sample
     c.bench_function("feedback_decode_rtt_window", |b| {
-        b.iter(|| black_box(decode_feedback(&params, black_box(&rx), 0.3)))
+        b.iter(|| black_box(decode_feedback_whitened(&params, black_box(&rx), 0.3, None)))
     });
     // the FFT-per-window oracle the sliding path is tested against
     c.bench_function("feedback_decode_batch_reference", |b| {
@@ -160,7 +160,7 @@ fn decoder_pipeline(c: &mut Criterion) {
         })
     });
 
-    let data = conv_encode(&vec![1u8; 16], Rate::TwoThirds);
+    let data = conv_encode(&[1u8; 16], Rate::TwoThirds);
     let soft: Vec<f64> = data
         .iter()
         .map(|&b| if b == 0 { 1.0 } else { -1.0 })

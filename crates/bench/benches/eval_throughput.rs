@@ -11,7 +11,9 @@ use std::hint::black_box;
 use aqua_channel::environments::{Environment, Site};
 use aqua_channel::geometry::Pos;
 use aqua_channel::link::{Link, LinkConfig};
-use aqua_eval::runner::{packet_series, packet_series_serial};
+use aqua_eval::engine::ExperimentEngine;
+use aqua_eval::runner::{packet_series, summarize};
+use aqua_par::Pool;
 use aquapp::trial::TrialConfig;
 
 fn cfg(seed: u64) -> TrialConfig {
@@ -28,9 +30,11 @@ fn trials_per_second(c: &mut Criterion) {
     c.bench_function("trials_per_second", |b| {
         b.iter(|| black_box(packet_series(4, cfg).per))
     });
-    // single-thread reference for the speedup ratio
+    // single-thread reference for the speedup ratio: a 1-worker pool runs
+    // every trial on the calling thread
+    let serial = ExperimentEngine::with_pool(Pool::new(1));
     c.bench_function("trials_per_second_serial", |b| {
-        b.iter(|| black_box(packet_series_serial(4, cfg).per))
+        b.iter(|| black_box(summarize(serial.trial_series(4, cfg)).per))
     });
 }
 

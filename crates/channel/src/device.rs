@@ -45,7 +45,7 @@ impl DeviceModel {
     }
 
     /// Relative transmit strength: the watch's small speaker is weaker.
-    pub fn source_level_db(self) -> f64 {
+    fn source_level_db(self) -> f64 {
         match self {
             DeviceModel::GalaxyWatch4 => -6.0,
             _ => 0.0,
@@ -66,7 +66,7 @@ pub enum CaseKind {
 
 impl CaseKind {
     /// Mean attenuation of the case in dB (flat component).
-    pub fn mean_attenuation_db(self) -> f64 {
+    fn mean_attenuation_db(self) -> f64 {
         match self {
             CaseKind::None => 0.0,
             CaseKind::SoftPouch => 2.0,
@@ -148,7 +148,7 @@ impl Device {
 
     /// Case transmission response in dB at `freq_hz` (applies on both
     /// transmit and receive).
-    pub fn case_response_db(&self, freq_hz: f64) -> f64 {
+    fn case_response_db(&self, freq_hz: f64) -> f64 {
         let base = -self.case.mean_attenuation_db()
             + match self.case {
                 CaseKind::None => 0.0,

@@ -205,12 +205,6 @@ impl Environment {
         }
     }
 
-    /// Overrides the water depth (used by the depth sweep at the museum).
-    pub fn with_water_depth(mut self, depth_m: f64) -> Self {
-        self.boundaries.water_depth_m = depth_m;
-        self
-    }
-
     /// Overrides the noise level by a relative gain in dB.
     pub fn with_noise_gain_db(mut self, db: f64) -> Self {
         self.noise = self.noise.clone().with_gain_db(db);
@@ -249,12 +243,6 @@ mod tests {
             let env = Environment::preset(site);
             assert!(lake.boundaries.bottom_reflectivity > env.boundaries.bottom_reflectivity);
         }
-    }
-
-    #[test]
-    fn depth_override_applies() {
-        let env = Environment::preset(Site::Museum).with_water_depth(12.0);
-        assert_eq!(env.boundaries.water_depth_m, 12.0);
     }
 
     #[test]

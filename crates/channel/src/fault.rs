@@ -17,40 +17,39 @@
 //! attenuating signal and noise together would leave the SNR unchanged
 //! and make a fade a decode no-op), while impulsive bursts add on top of
 //! the final received waveform like the environment's own impulses. The
-//! zero-fault path is byte-for-byte the plain [`Link::transmit`] code:
-//! passing no schedule changes nothing, which the determinism suite pins.
-
-use crate::link::{Link, LinkConfig};
+//! zero-fault path is byte-for-byte the plain
+//! [`Link::transmit`](crate::link::Link::transmit) code: passing no
+//! schedule changes nothing, which the determinism suite pins.
 
 /// One hard blackout: the acoustic path carries nothing in `[t0_s, t1_s)`.
 /// Ambient noise persists — the receiver hears the sea, just not the
 /// transmitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Blackout {
+struct Blackout {
     /// Start of the outage (absolute seconds).
-    pub t0_s: f64,
+    t0_s: f64,
     /// End of the outage (absolute seconds, exclusive).
-    pub t1_s: f64,
+    t1_s: f64,
 }
 
 /// One slow shadowing fade: signal attenuation ramps linearly from 0 dB
 /// at `t0_s` up to `depth_db` over `ramp_s`, holds, and ramps back down
 /// to end at `t1_s`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fade {
+struct Fade {
     /// Fade onset (absolute seconds).
-    pub t0_s: f64,
+    t0_s: f64,
     /// Fade end (absolute seconds).
-    pub t1_s: f64,
+    t1_s: f64,
     /// Plateau attenuation in dB (positive = loss).
-    pub depth_db: f64,
+    depth_db: f64,
     /// Ramp duration at each edge, seconds.
-    pub ramp_s: f64,
+    ramp_s: f64,
 }
 
 impl Fade {
     /// Attenuation in dB at time `t_s` (0 outside the fade window).
-    pub fn depth_at_db(&self, t_s: f64) -> f64 {
+    fn depth_at_db(&self, t_s: f64) -> f64 {
         if t_s < self.t0_s || t_s >= self.t1_s {
             return 0.0;
         }
@@ -67,15 +66,15 @@ impl Fade {
 /// burst straddling two transmit buffers renders the identical samples
 /// into each.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Burst {
+struct Burst {
     /// Click onset (absolute seconds).
-    pub t_s: f64,
+    t_s: f64,
     /// Peak amplitude of the click envelope.
-    pub peak: f64,
+    peak: f64,
     /// Envelope decay constant in samples (click length ≈ 8 decays).
-    pub decay_samples: f64,
+    decay_samples: f64,
     /// Per-burst waveform seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 /// Envelope decays rendered before a click is considered over.
@@ -133,19 +132,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Adds one explicit impulsive burst at `t_s` with the given peak.
-    pub fn with_burst(mut self, t_s: f64, peak: f64) -> Self {
-        let seed = self.next_u64();
-        let decay = 20.0 + 100.0 * Self::unit(seed ^ 0x5EED);
-        self.bursts.push(Burst {
-            t_s,
-            peak,
-            decay_samples: decay,
-            seed,
-        });
-        self
-    }
-
     /// Adds a seeded train of impulsive bursts over `[t0_s, t1_s)` with
     /// exponentially distributed inter-arrival times at `rate_hz` and the
     /// given peak amplitude — the snapping-shrimp model. Arrival times,
@@ -172,42 +158,6 @@ impl FaultSchedule {
             });
         }
         self
-    }
-
-    /// The blackout windows (for tests and reporting).
-    pub fn blackouts(&self) -> &[Blackout] {
-        &self.blackouts
-    }
-
-    /// The fade windows.
-    pub fn fades(&self) -> &[Fade] {
-        &self.fades
-    }
-
-    /// The scheduled bursts.
-    pub fn bursts(&self) -> &[Burst] {
-        &self.bursts
-    }
-
-    /// True when `[t0_s, t1_s)` overlaps any blackout window.
-    pub fn blackout_overlaps(&self, t0_s: f64, t1_s: f64) -> bool {
-        self.blackouts
-            .iter()
-            .any(|b| t0_s < b.t1_s && t1_s > b.t0_s)
-    }
-
-    /// Linear signal gain at time `t_s`: 0 inside a blackout, the product
-    /// of fade attenuations otherwise.
-    pub fn signal_gain(&self, t_s: f64) -> f64 {
-        if self.blackouts.iter().any(|b| t_s >= b.t0_s && t_s < b.t1_s) {
-            return 0.0;
-        }
-        let db: f64 = self.fades.iter().map(|f| f.depth_at_db(t_s)).sum();
-        if db == 0.0 {
-            1.0
-        } else {
-            10f64.powf(-db / 20.0)
-        }
     }
 
     /// Applies fades and blackouts to a **pre-noise** signal buffer whose
@@ -283,45 +233,31 @@ impl FaultSchedule {
     }
 }
 
-/// A [`Link`] with a [`FaultSchedule`] attached: every transmission is
-/// rendered through the plain link and then impaired per the schedule at
-/// the transmission's own absolute time. With an empty schedule the
-/// output is bit-identical to the wrapped link (determinism suite).
-pub struct FaultyLink {
-    link: Link,
-    schedule: FaultSchedule,
-}
-
-impl FaultyLink {
-    /// Builds the underlying link and attaches the schedule.
-    pub fn new(cfg: LinkConfig, schedule: FaultSchedule) -> Self {
-        Self {
-            link: Link::new(cfg),
-            schedule,
-        }
-    }
-
-    /// The attached schedule.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-
-    /// Read access to the wrapped link.
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-
-    /// Renders a transmission starting at absolute time `t0_s` through
-    /// the link and the fault schedule (schedule times are link times).
-    pub fn transmit(&mut self, tx: &[f64], t0_s: f64) -> Vec<f64> {
-        self.link
-            .transmit_with_faults(tx, t0_s, Some((&self.schedule, 0.0)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultSchedule {
+        /// Adds one explicit impulsive burst at `t_s` with the given peak.
+        fn with_burst(mut self, t_s: f64, peak: f64) -> Self {
+            let seed = self.next_u64();
+            let decay = 20.0 + 100.0 * Self::unit(seed ^ 0x5EED);
+            self.bursts.push(Burst {
+                t_s,
+                peak,
+                decay_samples: decay,
+                seed,
+            });
+            self
+        }
+
+        /// True when `[t0_s, t1_s)` overlaps any blackout window.
+        fn blackout_overlaps(&self, t0_s: f64, t1_s: f64) -> bool {
+            self.blackouts
+                .iter()
+                .any(|b| t0_s < b.t1_s && t1_s > b.t0_s)
+        }
+    }
 
     #[test]
     fn same_seed_same_schedule() {
@@ -335,7 +271,7 @@ mod tests {
         let b = build();
         assert_eq!(a, b, "same seed must produce an identical schedule");
         assert!(!a.is_empty());
-        assert!(!a.bursts().is_empty(), "2 Hz over 30 s draws bursts");
+        assert!(!a.bursts.is_empty(), "2 Hz over 30 s draws bursts");
     }
 
     #[test]
@@ -355,7 +291,7 @@ mod tests {
         assert_eq!(y[1000], 0.0, "first blacked-out sample");
         assert_eq!(y[1499], 0.0, "last blacked-out sample");
         assert_eq!(y[1500], 1.0, "just after the blackout");
-        assert_eq!(sched.signal_gain(1.2), 0.0);
+        assert_eq!(y[1200], 0.0, "inside the blackout");
         assert!(sched.blackout_overlaps(1.4, 9.0));
         assert!(!sched.blackout_overlaps(1.5, 9.0));
     }
@@ -363,12 +299,15 @@ mod tests {
     #[test]
     fn fade_ramps_and_holds() {
         let sched = FaultSchedule::seeded(0).with_fade(10.0, 10.0, 20.0, 2.0);
-        assert_eq!(sched.signal_gain(9.9), 1.0);
-        let mid = sched.signal_gain(15.0); // plateau: -20 dB
+        let fs = 1000.0;
+        let mut y = vec![1.0; 25_000]; // 25 s from t=0
+        sched.apply_signal(&mut y, 0.0, fs);
+        assert_eq!(y[9_900], 1.0, "before the fade");
+        let mid = y[15_000]; // plateau: -20 dB
         assert!((mid - 0.1).abs() < 1e-12, "plateau gain {mid}");
-        let edge = sched.signal_gain(11.0); // half-way up the ramp
+        let edge = y[11_000]; // half-way up the ramp
         assert!((edge - 10f64.powf(-0.5)).abs() < 1e-12);
-        assert_eq!(sched.signal_gain(20.0), 1.0);
+        assert_eq!(y[20_000], 1.0, "after the fade");
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Pos {
     }
 
     /// Horizontal distance to another position.
-    pub fn horizontal_range(&self, other: &Pos) -> f64 {
+    fn horizontal_range(&self, other: &Pos) -> f64 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 

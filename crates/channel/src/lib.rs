@@ -38,7 +38,7 @@ pub mod noise;
 
 pub use device::{CaseKind, Device, DeviceModel};
 pub use environments::{Environment, Site};
-pub use fault::{FaultSchedule, FaultyLink};
+pub use fault::FaultSchedule;
 pub use geometry::Pos;
 pub use link::{Link, LinkConfig, SAMPLE_RATE};
 pub use medium::{Medium, NodeId};

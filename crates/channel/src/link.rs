@@ -123,11 +123,6 @@ impl Link {
         }
     }
 
-    /// Read access to the configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.cfg
-    }
-
     /// Returns `n` samples of ambient noise as heard at the receiver with
     /// no transmission in progress — what the app records when calibrating
     /// its noise floor (carrier-sense threshold, feedback whitening).
@@ -154,7 +149,7 @@ impl Link {
     /// [`crate::fault`]), impulsive bursts add after it. The schedule is
     /// evaluated at `fault_t0_s + t0_s` — `fault_t0_s` maps this link's
     /// local clock onto the schedule's absolute timeline (a transfer
-    /// engine passes its session clock; [`crate::fault::FaultyLink`]
+    /// engine passes its session clock; a schedule written in link time
     /// passes 0). With `None` this is exactly the plain transmit path.
     pub fn transmit_with_faults(
         &mut self,
@@ -229,26 +224,6 @@ impl Link {
                     + rx_gain_db
             })
             .collect()
-    }
-
-    /// Samples the channel's discrete impulse response at time `t_s`:
-    /// taps of the multipath channel (geometry + boundary/reflector/scatter
-    /// paths, without the device responses), at the link's sample rate.
-    /// Index 0 corresponds to zero delay; the response ends at the last
-    /// significant path.
-    pub fn impulse_response(&mut self, t_s: f64) -> Vec<f64> {
-        let rays = self.rays_at(t_s);
-        let fs = self.cfg.fs;
-        let c = self.cfg.env.sound_speed;
-        let max_delay = rays.iter().map(|r| r.delay_s(c)).fold(0.0, f64::max);
-        let len = (max_delay * fs).ceil() as usize + 2 * TAP_HALF_WIDTH + 2;
-        let mut fir = vec![0.0; len];
-        for ray in &rays {
-            let pos = ray.delay_s(c) * fs + TAP_HALF_WIDTH as f64;
-            add_fractional_tap(&mut fir, pos, ray.amplitude);
-        }
-        fir.drain(..TAP_HALF_WIDTH.min(fir.len()));
-        fir
     }
 
     /// RMS delay spread of the channel at time `t_s`, in seconds: the
@@ -739,24 +714,6 @@ mod tests {
     fn empty_transmission_yields_empty_output() {
         let mut link = Link::new(quiet_cfg(5.0));
         assert!(link.transmit(&[], 0.0).is_empty());
-    }
-
-    #[test]
-    fn impulse_response_peaks_at_direct_path_delay() {
-        let mut link = Link::new(quiet_cfg(7.5));
-        let ir = link.impulse_response(0.0);
-        // direct delay = 7.5/1500 s = 240 samples; the surface bounce
-        // arrives ~8 samples later with comparable energy, so test the
-        // *first* significant tap rather than the global max
-        let max = ir.iter().map(|v| v.abs()).fold(0.0, f64::max);
-        let first = ir
-            .iter()
-            .position(|v| v.abs() >= 0.5 * max)
-            .expect("significant tap");
-        assert!(
-            first.abs_diff(240) <= 4,
-            "first strong tap at {first}, expected ≈240"
-        );
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl Medium {
         }
     }
 
-    /// Sample rate of the medium.
-    pub fn sample_rate(&self) -> f64 {
-        self.fs
-    }
-
     /// Adds a device to the medium and returns its id.
     pub fn add_node(&mut self, device: Device, traj: Trajectory) -> NodeId {
         let id = self.nodes.len();

@@ -96,16 +96,6 @@ impl Trajectory {
             }
         }
     }
-
-    /// Radial velocity toward a fixed point at time `t` (m/s, positive =
-    /// approaching), estimated by finite difference. Used by tests to bound
-    /// Doppler.
-    pub fn radial_velocity(&self, toward: &Pos, t: f64) -> f64 {
-        let dt = 1e-3;
-        let d0 = self.position(t).distance(toward);
-        let d1 = self.position(t + dt).distance(toward);
-        -(d1 - d0) / dt
-    }
 }
 
 /// Band-limited oscillation with target RMS acceleration: a sum of three
@@ -137,6 +127,17 @@ fn oscillation(rms_accel: f64, seed: u64, t: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trajectory {
+        /// Radial velocity toward a fixed point at time `t` (m/s, positive =
+        /// approaching), estimated by finite difference.
+        fn radial_velocity(&self, toward: &Pos, t: f64) -> f64 {
+            let dt = 1e-3;
+            let d0 = self.position(t).distance(toward);
+            let d1 = self.position(t + dt).distance(toward);
+            -(d1 - d0) / dt
+        }
+    }
 
     #[test]
     fn static_trajectory_does_not_move() {

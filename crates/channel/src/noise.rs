@@ -88,7 +88,7 @@ impl NoiseProfile {
 
     /// Interpolates the profile in dB at `freq_hz` (log-frequency linear
     /// interpolation, clamped at the ends).
-    pub fn level_db(&self, freq_hz: f64) -> f64 {
+    fn level_db(&self, freq_hz: f64) -> f64 {
         let f = freq_hz.max(1.0);
         if f <= self.anchors[0].0 {
             return self.anchors[0].1;

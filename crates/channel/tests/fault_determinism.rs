@@ -2,11 +2,12 @@
 //!
 //! - same seed ⇒ bit-identical `FaultSchedule` and bit-identical faulted
 //!   renders;
-//! - a zero-fault `FaultyLink` is bit-identical to the plain `Link` — the
-//!   fault hook must cost nothing when no faults are scheduled.
+//! - a link rendering through an empty schedule is bit-identical to the
+//!   plain `Link` — the fault hook must cost nothing when no faults are
+//!   scheduled.
 
 use aqua_channel::environments::{Environment, Site};
-use aqua_channel::fault::{FaultSchedule, FaultyLink};
+use aqua_channel::fault::FaultSchedule;
 use aqua_channel::geometry::Pos;
 use aqua_channel::link::{Link, LinkConfig, SAMPLE_RATE};
 
@@ -42,11 +43,11 @@ fn same_seed_gives_bit_identical_schedule_and_render() {
     assert_eq!(a, b, "schedule construction must be deterministic");
 
     let tx = chirp();
-    let mut la = FaultyLink::new(lake_cfg(5), a);
-    let mut lb = FaultyLink::new(lake_cfg(5), b);
+    let mut la = Link::new(lake_cfg(5));
+    let mut lb = Link::new(lake_cfg(5));
     for &t0 in &[0.0, 2.5, 21.0] {
-        let ra = la.transmit(&tx, t0);
-        let rb = lb.transmit(&tx, t0);
+        let ra = la.transmit_with_faults(&tx, t0, Some((&a, 0.0)));
+        let rb = lb.transmit_with_faults(&tx, t0, Some((&b, 0.0)));
         assert_eq!(ra.len(), rb.len());
         assert!(
             ra.iter().zip(&rb).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -59,10 +60,11 @@ fn same_seed_gives_bit_identical_schedule_and_render() {
 fn zero_fault_link_is_bit_identical_to_plain_link() {
     let tx = chirp();
     let mut plain = Link::new(lake_cfg(9));
-    let mut faulty = FaultyLink::new(lake_cfg(9), FaultSchedule::seeded(123));
+    let mut faulty = Link::new(lake_cfg(9));
+    let sched = FaultSchedule::seeded(123);
     for &t0 in &[0.0, 1.0] {
         let rp = plain.transmit(&tx, t0);
-        let rf = faulty.transmit(&tx, t0);
+        let rf = faulty.transmit_with_faults(&tx, t0, Some((&sched, 0.0)));
         assert_eq!(rp.len(), rf.len());
         assert!(
             rp.iter().zip(&rf).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -78,8 +80,8 @@ fn blackout_silences_signal_but_not_ambient_noise() {
     // for a silent transmission of the same length.
     let tx = chirp();
     let sched = FaultSchedule::seeded(1).with_blackout(0.0, 10.0);
-    let mut faulty = FaultyLink::new(lake_cfg(30), sched);
-    let rx = faulty.transmit(&tx, 1.0);
+    let mut faulty = Link::new(lake_cfg(30));
+    let rx = faulty.transmit_with_faults(&tx, 1.0, Some((&sched, 0.0)));
     let mut plain = Link::new(lake_cfg(30));
     let silent = plain.transmit(&vec![0.0; tx.len()], 1.0);
     assert_eq!(rx.len(), silent.len());
@@ -104,9 +106,13 @@ fn fade_reduces_received_signal_energy() {
     quiet_cfg.noise = false;
     let mut plain_cfg = lake_cfg(4);
     plain_cfg.noise = false;
-    let mut f = FaultyLink::new(quiet_cfg, faded);
+    let mut f = Link::new(quiet_cfg);
     let mut p = Link::new(plain_cfg);
-    let ef: f64 = f.transmit(&tx, 10.0).iter().map(|v| v * v).sum();
+    let ef: f64 = f
+        .transmit_with_faults(&tx, 10.0, Some((&faded, 0.0)))
+        .iter()
+        .map(|v| v * v)
+        .sum();
     let ep: f64 = p.transmit(&tx, 10.0).iter().map(|v| v * v).sum();
     // -25 dB plateau ⇒ energy ratio ~10^-2.5; ramps make it slightly less
     assert!(
@@ -121,10 +127,10 @@ fn bursts_add_impulsive_energy() {
     let sched = FaultSchedule::seeded(6).with_burst_train(0.0, 1.0, 40.0, 3.0);
     let mut quiet = lake_cfg(8);
     quiet.noise = false;
-    let mut f = FaultyLink::new(quiet.clone(), sched);
+    let mut f = Link::new(quiet.clone());
     let mut p = Link::new(quiet);
     let tx = vec![0.0; 48_000];
-    let rf = f.transmit(&tx, 0.0);
+    let rf = f.transmit_with_faults(&tx, 0.0, Some((&sched, 0.0)));
     let rp = p.transmit(&tx, 0.0);
     let peak_f = rf.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
     let peak_p = rp.iter().fold(0.0f64, |a, &v| a.max(v.abs()));

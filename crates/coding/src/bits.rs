@@ -40,7 +40,7 @@ pub fn bits_to_value(bits: &[u8]) -> u64 {
 
 /// Counts positions where two bit slices differ (Hamming distance over the
 /// common prefix).
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
+fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 

@@ -152,19 +152,6 @@ pub fn encode_tailbiting(data: &[u8], rate: Rate) -> Vec<u8> {
     out
 }
 
-/// Number of data bits that produced `coded_len` coded bits at this rate.
-pub fn data_len_for(coded_len: usize, rate: Rate) -> usize {
-    match rate {
-        Rate::Half => coded_len / 2,
-        Rate::TwoThirds => {
-            // 3 coded bits per 2 data bits; a trailing 2 coded bits = 1 data bit
-            let pairs = coded_len / 3;
-            let rem = coded_len % 3;
-            pairs * 2 + if rem >= 2 { 1 } else { 0 }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,16 +211,5 @@ mod tests {
         assert!(depunct[2].is_some() && depunct[3].is_none());
         assert!(depunct[4].is_some() && depunct[5].is_some());
         assert!(depunct[6].is_some() && depunct[7].is_none());
-    }
-
-    #[test]
-    fn data_len_inverts_coded_len() {
-        for n in 0..64 {
-            assert_eq!(
-                data_len_for(Rate::TwoThirds.coded_len(n), Rate::TwoThirds),
-                n
-            );
-            assert_eq!(data_len_for(Rate::Half.coded_len(n), Rate::Half), n);
-        }
     }
 }

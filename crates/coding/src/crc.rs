@@ -1,26 +1,11 @@
-//! CRC checks for packet integrity.
+//! CRC-16 check for packet integrity.
 //!
 //! The paper marks a packet erroneous "even if one bit error occurs at the
-//! decoder output" — evaluating that requires knowing the ground truth. A
-//! deployed app needs an integrity check instead; we provide CRC-8
-//! (polynomial 0x07) for the 16-bit message packets and CRC-16/CCITT for
-//! longer app-layer payloads.
-
-/// CRC-8 with polynomial x⁸+x²+x+1 (0x07), init 0x00.
-pub fn crc8(data: &[u8]) -> u8 {
-    let mut crc = 0u8;
-    for &byte in data {
-        crc ^= byte;
-        for _ in 0..8 {
-            crc = if crc & 0x80 != 0 {
-                (crc << 1) ^ 0x07
-            } else {
-                crc << 1
-            };
-        }
-    }
-    crc
-}
+//! decoder output" — evaluating that requires knowing the ground truth,
+//! which only the simulator has. The 16-bit hand-signal message packets
+//! carry no CRC. Longer frames append a CRC-16/CCITT instead: bulk-transfer
+//! fragments and block ACKs, DTN bundles, beacons and custody ACKs, and
+//! journal records.
 
 /// CRC-16/CCITT-FALSE: polynomial 0x1021, init 0xFFFF.
 pub fn crc16(data: &[u8]) -> u16 {
@@ -38,57 +23,13 @@ pub fn crc16(data: &[u8]) -> u16 {
     crc
 }
 
-/// Appends a CRC-8 to a payload.
-pub fn attach_crc8(payload: &[u8]) -> Vec<u8> {
-    let mut out = payload.to_vec();
-    out.push(crc8(payload));
-    out
-}
-
-/// Verifies and strips a trailing CRC-8. Returns `None` on mismatch.
-pub fn verify_crc8(framed: &[u8]) -> Option<&[u8]> {
-    let (payload, tail) = framed.split_at(framed.len().checked_sub(1)?);
-    (crc8(payload) == tail[0]).then_some(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn crc8_known_vector() {
-        // "123456789" -> 0xF4 for CRC-8/SMBUS (poly 0x07, init 0)
-        assert_eq!(crc8(b"123456789"), 0xF4);
-    }
-
-    #[test]
     fn crc16_known_vector() {
         // "123456789" -> 0x29B1 for CRC-16/CCITT-FALSE
         assert_eq!(crc16(b"123456789"), 0x29B1);
-    }
-
-    #[test]
-    fn attach_verify_roundtrip() {
-        let payload = vec![0xDE, 0xAD, 0xBE, 0xEF];
-        let framed = attach_crc8(&payload);
-        assert_eq!(verify_crc8(&framed), Some(payload.as_slice()));
-    }
-
-    #[test]
-    fn single_bit_error_is_detected() {
-        let payload = vec![0x12, 0x34];
-        let framed = attach_crc8(&payload);
-        for byte in 0..framed.len() {
-            for bit in 0..8 {
-                let mut bad = framed.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(verify_crc8(&bad).is_none(), "missed error at {byte}:{bit}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_frame_is_rejected() {
-        assert!(verify_crc8(&[]).is_none());
     }
 }

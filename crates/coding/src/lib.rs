@@ -11,7 +11,7 @@
 //!   subcarrier interleaver.
 //! - [`rs`]: the Reed–Solomon outer erasure code striped across bulk
 //!   transfer packets (whole-packet losses; DESIGN.md §12).
-//! - [`crc`]: CRC-8/16 integrity checks for app-layer packets.
+//! - [`crc`]: the CRC-16 integrity check of bulk, DTN and journal frames.
 //! - [`bits`]: bit/byte packing utilities.
 
 #![forbid(unsafe_code)]

@@ -330,8 +330,8 @@ mod tests {
         // mode that motivates the paper's interleaver.
         let data = rand_bits(40, 55);
         let mut coded = encode(&data, Rate::Half);
-        for i in 20..34 {
-            coded[i] ^= 1;
+        for bit in &mut coded[20..34] {
+            *bit ^= 1;
         }
         let decoded = decode_hard(&coded, Rate::Half);
         assert_ne!(

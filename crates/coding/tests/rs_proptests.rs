@@ -119,7 +119,7 @@ proptest! {
         }
         if let Some(out) = rs.decode(&bad, &[]) {
             // whatever came back must itself be a valid codeword
-            let reencoded = rs.encode(&out[..k].to_vec());
+            let reencoded = rs.encode(&out[..k]);
             prop_assert_eq!(out, reencoded);
         }
     }

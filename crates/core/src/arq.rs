@@ -16,9 +16,11 @@
 //! [`ACK_TIMEOUT_SYMBOLS`] listen window on attempts where no ACK arrived
 //! (that wait is real airtime a deployment pays before retrying).
 //!
-//! Bulk transfers use the selective-repeat window in [`crate::bulk`]
-//! instead; this stop-and-wait path remains the chat/SOS delivery
-//! mechanism.
+//! Bulk transfers use the selective-repeat window in [`crate::bulk`], and
+//! a chat or SOS send ([`crate::node::Messenger::send`]) is a single
+//! exchange without retry. [`ArqSession`] is the paper's §2.3 ACK loop,
+//! kept as the reference for that design and pinned by this module's
+//! tests; no experiment runs it.
 
 use crate::trial::{run_trial, TrialConfig, TrialResult};
 use aqua_channel::link::{Link, LinkConfig, SAMPLE_RATE};
@@ -103,7 +105,7 @@ impl RttEstimator {
 
     /// The un-jittered retransmission timeout: `srtt + 4·rttvar` scaled
     /// by the backoff, clamped to the configured bounds.
-    pub fn base_rto_s(&self) -> f64 {
+    fn base_rto_s(&self) -> f64 {
         let rto = match self.srtt_s {
             Some(srtt) => srtt + 4.0 * self.rttvar_s,
             None => self.min_rto_s,
@@ -458,7 +460,7 @@ mod tests {
         let c = draw(8);
         assert_ne!(a, c, "different seed ⇒ different jitter");
         for (i, &w) in a.iter().enumerate() {
-            assert!(w >= 0.5 && w <= 16.0, "wait {i} out of bounds: {w}");
+            assert!((0.5..=16.0).contains(&w), "wait {i} out of bounds: {w}");
         }
         // sustained loss must grow the waits toward the cap overall
         assert!(

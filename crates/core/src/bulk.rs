@@ -454,7 +454,7 @@ impl DegradationLadder {
     /// Feeds one round's measurement: the fraction of the burst that was
     /// erased, and whether the block ACK was decodable. A lost ACK is
     /// indistinguishable from total loss and is treated as such.
-    pub fn observe_round(&mut self, erasure_rate: f64, ack_ok: bool) {
+    fn observe_round(&mut self, erasure_rate: f64, ack_ok: bool) {
         let rate = if ack_ok { erasure_rate } else { 1.0 };
         self.ewma = 0.5 * self.ewma + 0.5 * rate;
         if self.ewma > RAISE_THRESHOLD {
@@ -480,7 +480,7 @@ impl DegradationLadder {
     /// Parity fragments per generation released *eagerly* at the current
     /// level: none when clean (parity only on receiver demand), half at
     /// level 1, all of them at level 2+.
-    pub fn eager_parity(&self, parity: usize) -> usize {
+    fn eager_parity(&self, parity: usize) -> usize {
         match self.level {
             0 => 0,
             1 => parity.div_ceil(2),

@@ -6,9 +6,7 @@
 //!
 //! - [`trial`]: one post-preamble-feedback packet exchange on an absolute
 //!   sample clock — the unit every paper experiment is built from.
-//! - [`node`]: the [`node::AudioBackend`] integration trait (what a cpal /
-//!   AAudio port implements), its simulator implementation, and the
-//!   [`node::Messenger`] app facade.
+//! - [`node`]: the [`node::Messenger`] app facade.
 //! - [`receiver`]: the continuously-listening streaming receiver state
 //!   machine (block-based audio in, protocol events out).
 //! - [`arq`]: stop-and-wait retransmission over the single-tone ACK, with
@@ -27,6 +25,6 @@ pub mod trial;
 
 pub use arq::{send_with_arq, ArqOutcome, ArqSession};
 pub use bulk::{run_bulk_transfer, run_bulk_transfer_with_faults, BulkConfig, BulkOutcome};
-pub use node::{AudioBackend, Messenger, SendOutcome, SimAudioBus};
+pub use node::{Messenger, SendOutcome};
 pub use receiver::{RxEvent, StreamingReceiver};
 pub use trial::{run_trial, Scheme, TrialConfig, TrialResult};

@@ -1,79 +1,13 @@
-//! Node-level API: an audio-backend abstraction and a messaging facade.
-//!
-//! [`AudioBackend`] is the integration point a real phone port (cpal /
-//! AAudio) would implement; [`SimAudioBus`] implements it over the
-//! channel simulator's shared [`Medium`]. [`Messenger`] packages the
-//! trial-level protocol into "send hand signals from A to B" calls for the
-//! examples and app-level tests.
+//! Node-level messaging facade: [`Messenger`] packages the trial-level
+//! protocol into "send hand signals from A to B" calls for the examples
+//! and app-level tests.
 
 use crate::trial::{run_trial, Scheme, TrialConfig, TrialResult};
 use aqua_channel::environments::Environment;
 use aqua_channel::geometry::Pos;
-use aqua_channel::medium::{Medium, NodeId};
 use aqua_channel::mobility::Trajectory;
 use aqua_proto::messages::Message;
 use aqua_proto::packet::MessagePacket;
-
-/// Duplex audio I/O as a phone app sees it: a speaker to feed and a
-/// microphone to drain, sharing one sample clock.
-pub trait AudioBackend {
-    /// Sample rate in Hz.
-    fn sample_rate(&self) -> f64;
-    /// Current position of the sample clock.
-    fn now(&self) -> u64;
-    /// Queues samples for playback at the current clock position and
-    /// advances the clock past them.
-    fn play(&mut self, samples: &[f64]);
-    /// Records `n` samples starting at the current clock position and
-    /// advances the clock past them.
-    fn record(&mut self, n: usize) -> Vec<f64>;
-    /// Advances the clock without playing or recording (silence).
-    fn sleep(&mut self, n: usize);
-}
-
-/// [`AudioBackend`] over the simulated shared medium: what a phone in the
-/// water "hears" and "says".
-pub struct SimAudioBus<'m> {
-    medium: &'m mut Medium,
-    node: NodeId,
-    clock: u64,
-}
-
-impl<'m> SimAudioBus<'m> {
-    /// Wraps a node of the medium.
-    pub fn new(medium: &'m mut Medium, node: NodeId) -> Self {
-        Self {
-            medium,
-            node,
-            clock: 0,
-        }
-    }
-}
-
-impl AudioBackend for SimAudioBus<'_> {
-    fn sample_rate(&self) -> f64 {
-        self.medium.sample_rate()
-    }
-
-    fn now(&self) -> u64 {
-        self.clock
-    }
-
-    fn play(&mut self, samples: &[f64]) {
-        self.medium.transmit(self.node, self.clock, samples);
-        self.clock += samples.len() as u64;
-    }
-
-    fn record(&mut self, n: usize) -> Vec<f64> {
-        let out = self.medium.capture(self.node, self.clock, n);
-        self.clock += n as u64;
-        out
-    }
-
-    fn sleep(&mut self, n: usize) {
-        self.clock += n as u64;
-    }
-}
 
 /// Outcome of a messaging attempt.
 #[derive(Debug, Clone)]
@@ -150,33 +84,7 @@ impl Messenger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqua_channel::device::Device;
     use aqua_channel::environments::Site;
-    use aqua_dsp::chirp::tone;
-
-    #[test]
-    fn sim_audio_bus_carries_sound_between_nodes() {
-        let mut medium = Medium::new(Environment::preset(Site::Bridge), 48000.0, 5);
-        let a = medium.add_node(
-            Device::default_rig(1),
-            Trajectory::fixed(Pos::new(0.0, 0.0, 1.0)),
-        );
-        let b = medium.add_node(
-            Device::default_rig(2),
-            Trajectory::fixed(Pos::new(5.0, 0.0, 1.0)),
-        );
-        let sig = tone(2000.0, 4800, 48000.0);
-        {
-            let mut bus_a = SimAudioBus::new(&mut medium, a);
-            bus_a.play(&sig);
-        }
-        let mut bus_b = SimAudioBus::new(&mut medium, b);
-        let rx = bus_b.record(6000);
-        let p_on = aqua_dsp::goertzel::goertzel_power(&rx[500..5500], 2000.0, 48000.0);
-        let p_off = aqua_dsp::goertzel::goertzel_power(&rx[500..5500], 3200.0, 48000.0);
-        assert!(p_on > 5.0 * p_off, "tone not heard: {p_on} vs {p_off}");
-        assert_eq!(bus_b.now(), 6000);
-    }
 
     #[test]
     fn messenger_delivers_two_hand_signals() {

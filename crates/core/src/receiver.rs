@@ -1,13 +1,13 @@
 //! Streaming receiver: the continuously-listening state machine a phone
 //! runs (§3: "preamble detection running continuously in real-time").
 //!
-//! Audio arrives in blocks from the [`crate::node::AudioBackend`]; every
-//! filtered sample is fed once through a [`StreamingDetector`] — the
-//! overlap-save front-end that replaced the per-push batch rescans — and
-//! the receiver walks the §2.2 sequence from each detection it emits:
-//! verify the receiver ID, estimate SNR, select the band, emit the
-//! feedback waveform for the app to play, and finally locate and decode
-//! the data section — emitting events at each stage.
+//! Audio arrives in blocks from the microphone; every filtered sample is
+//! fed once through a [`StreamingDetector`] — the overlap-save front-end
+//! that replaced the per-push batch rescans — and the receiver walks the
+//! §2.2 sequence from each detection it emits: verify the receiver ID,
+//! estimate SNR, select the band, emit the feedback waveform for the app
+//! to play, and finally locate and decode the data section — emitting
+//! events at each stage.
 
 use aqua_coding::bits::bits_to_value;
 use aqua_dsp::fir::{design_bandpass, StreamingFir};
@@ -247,11 +247,6 @@ impl StreamingReceiver {
             self.buffer_start += drop;
         }
     }
-
-    /// Bytes of buffered history (diagnostic; bounded by `trim`).
-    pub fn buffered_samples(&self) -> usize {
-        self.buffer.len()
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +298,7 @@ mod tests {
     #[test]
     fn ignores_packets_for_other_receivers() {
         let frame = FrameConfig::default();
-        let stream = make_stream(&frame, 12, &vec![1u8; 16], Band::new(0, 59));
+        let stream = make_stream(&frame, 12, &[1u8; 16], Band::new(0, 59));
         let mut rx = StreamingReceiver::new(frame, 3); // listening as ID 3
         let mut events = Vec::new();
         for block in stream.chunks(1024) {
@@ -341,9 +336,9 @@ mod tests {
             rx.push(&vec![0.0; 4800]); // 20 s of silence
         }
         assert!(
-            rx.buffered_samples() < 100_000,
+            rx.buffer.len() < 100_000,
             "buffer grew to {}",
-            rx.buffered_samples()
+            rx.buffer.len()
         );
     }
 

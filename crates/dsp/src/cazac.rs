@@ -39,15 +39,15 @@ pub fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-/// Periodic autocorrelation of a complex sequence at a given lag.
-pub fn periodic_autocorr(seq: &[Complex], lag: usize) -> Complex {
-    let n = seq.len();
-    (0..n).map(|i| seq[i] * seq[(i + lag) % n].conj()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Periodic autocorrelation of a complex sequence at a given lag.
+    fn periodic_autocorr(seq: &[Complex], lag: usize) -> Complex {
+        let n = seq.len();
+        (0..n).map(|i| seq[i] * seq[(i + lag) % n].conj()).sum()
+    }
 
     #[test]
     fn zadoff_chu_has_unit_papr() {

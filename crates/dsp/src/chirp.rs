@@ -44,11 +44,6 @@ pub fn apply_ramp(signal: &mut [f64], ramp: usize) {
     }
 }
 
-/// Instantaneous frequency of a linear chirp at time `t`.
-pub fn chirp_freq_at(f0: f64, f1: f64, duration_s: f64, t: f64) -> f64 {
-    f0 + (f1 - f0) * (t / duration_s).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,11 +92,5 @@ mod tests {
         assert!(s[0].abs() < 1e-12);
         assert!(s[99].abs() < 1e-12);
         assert_eq!(s[50], 1.0);
-    }
-
-    #[test]
-    fn chirp_freq_interpolates_linearly() {
-        assert_eq!(chirp_freq_at(1000.0, 5000.0, 1.0, 0.5), 3000.0);
-        assert_eq!(chirp_freq_at(1000.0, 5000.0, 1.0, 2.0), 5000.0);
     }
 }

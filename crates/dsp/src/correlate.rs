@@ -110,21 +110,6 @@ pub fn inner(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Sliding-window energy (sum of squares over windows of length `w`),
-/// computed with prefix sums in O(n).
-pub fn sliding_energy(signal: &[f64], w: usize) -> Vec<f64> {
-    if w == 0 || signal.len() < w {
-        return Vec::new();
-    }
-    let mut prefix = vec![0.0; signal.len() + 1];
-    for (i, &v) in signal.iter().enumerate() {
-        prefix[i + 1] = prefix[i] + v * v;
-    }
-    (0..=signal.len() - w)
-        .map(|i| prefix[i + w] - prefix[i])
-        .collect()
-}
-
 /// Index of the maximum value; `None` on an empty slice. Ties resolve to the
 /// first occurrence.
 pub fn argmax(values: &[f64]) -> Option<usize> {
@@ -198,20 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn sliding_energy_matches_direct_sum() {
-        let signal: Vec<f64> = (0..50).map(|i| i as f64 * 0.1).collect();
-        let e = sliding_energy(&signal, 7);
-        for (i, &v) in e.iter().enumerate() {
-            let direct: f64 = signal[i..i + 7].iter().map(|x| x * x).sum();
-            assert!((v - direct).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn empty_inputs_yield_empty_outputs() {
         assert!(xcorr_valid(&[1.0], &[1.0, 2.0]).is_empty());
         assert!(xcorr_valid_fft(&[], &[1.0]).is_empty());
-        assert!(sliding_energy(&[1.0, 2.0], 5).is_empty());
         assert_eq!(argmax(&[]), None);
     }
 

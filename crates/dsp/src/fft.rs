@@ -447,7 +447,7 @@ impl RealFft {
 
     /// Forward DFT of a real signal, returning the full `len`-bin spectrum
     /// (half-spectrum plus its Hermitian mirror).
-    pub fn forward_full(&self, signal: &[f64]) -> Vec<Complex> {
+    fn forward_full(&self, signal: &[f64]) -> Vec<Complex> {
         extend_hermitian(&self.forward_half(signal), self.len)
     }
 
@@ -504,7 +504,7 @@ impl RealFft {
 
 /// Mirrors a half-spectrum (`len/2 + 1` bins) into the full Hermitian
 /// `len`-bin spectrum of a real signal: `X[len−k] = conj(X[k])`.
-pub fn extend_hermitian(half_spec: &[Complex], len: usize) -> Vec<Complex> {
+fn extend_hermitian(half_spec: &[Complex], len: usize) -> Vec<Complex> {
     assert_eq!(
         half_spec.len(),
         len / 2 + 1,
@@ -520,7 +520,7 @@ pub fn extend_hermitian(half_spec: &[Complex], len: usize) -> Vec<Complex> {
 }
 
 /// Returns the prime factorization of `n`, smallest factors first.
-pub fn factorize(mut n: usize) -> Vec<usize> {
+fn factorize(mut n: usize) -> Vec<usize> {
     let mut factors = Vec::new();
     let mut p = 2;
     while p * p <= n {

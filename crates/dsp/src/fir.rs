@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// Designs a linear-phase lowpass FIR with `taps` coefficients and cutoff
 /// `cutoff_hz` at sample rate `fs`, using the given window.
-pub fn design_lowpass(taps: usize, cutoff_hz: f64, fs: f64, window: Window) -> Vec<f64> {
+fn design_lowpass(taps: usize, cutoff_hz: f64, fs: f64, window: Window) -> Vec<f64> {
     assert!(taps >= 1 && cutoff_hz > 0.0 && cutoff_hz < fs / 2.0);
     let fc = cutoff_hz / fs; // normalized (cycles/sample)
     let mid = (taps - 1) as f64 / 2.0;
@@ -222,7 +222,7 @@ impl PlannedConvolver {
 
     /// [`filter_same`](PlannedConvolver::filter_same) into a caller-owned
     /// buffer.
-    pub fn filter_same_into(&self, x: &[f64], out: &mut Vec<f64>) {
+    fn filter_same_into(&self, x: &[f64], out: &mut Vec<f64>) {
         if x.len().saturating_mul(self.taps.len()) > DIRECT_FFT_THRESHOLD {
             self.convolve_into(x, out);
         } else {

@@ -26,10 +26,10 @@
 //!   ramp evaluators — the hot-path engine behind the moving-channel
 //!   renderer and resampler, property-tested against [`resample`]'s exact
 //!   interpolator.
-//! - [`linalg`]: Levinson–Durbin Toeplitz solver and Cholesky (the MMSE
-//!   equalizer's normal equations).
-//! - [`spectrum`]: Welch PSD and chirp-response estimation (Figs. 3/4/9).
-//! - [`stats`]: percentiles/CDFs, Q-function, theoretical BPSK BER.
+//! - [`linalg`]: Levinson–Durbin Toeplitz solver (the MMSE equalizer's
+//!   normal equations).
+//! - [`spectrum`]: Welch PSD and STFT (Figs. 3/4/9).
+//! - [`stats`]: means and percentiles, Q-function, theoretical BPSK BER.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,8 +2,7 @@
 //!
 //! The time-domain MMSE equalizer solves a Toeplitz normal-equation system
 //! (autocorrelation matrix of the received training signal); Levinson–Durbin
-//! solves it in O(n²). A dense Cholesky factorization tests matrices for
-//! positive definiteness.
+//! solves it in O(n²).
 
 /// Solves the symmetric positive-definite Toeplitz system `T x = b`, where
 /// `T[i][j] = r[|i-j|]`, via the Levinson recursion. Returns `None` if the
@@ -56,43 +55,17 @@ pub fn levinson_solve(r: &[f64], b: &[f64]) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// Cholesky factorization of a symmetric positive-definite matrix stored
-/// row-major. Returns the lower-triangular factor `L` with `A = L·Lᵀ`, or
-/// `None` if the matrix is not positive definite.
-pub fn cholesky(a: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
-    let n = a.len();
-    let mut l = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[i][j];
-            let (row_i, row_j) = (&l[i], &l[j]);
-            for k in 0..j {
-                sum -= row_i[k] * row_j[k];
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return None;
-                }
-                l[i][j] = sum.sqrt();
-            } else {
-                l[i][j] = sum / l[j][j];
-            }
-        }
-    }
-    Some(l)
-}
-
-/// Builds the full Toeplitz matrix from its first column (symmetric case),
-/// mainly for tests and for small regularized solves.
-pub fn toeplitz_matrix(r: &[f64], n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|i| (0..n).map(|j| r[i.abs_diff(j)]).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds the full Toeplitz matrix from its first column (symmetric
+    /// case).
+    fn toeplitz_matrix(r: &[f64], n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| (0..n).map(|j| r[i.abs_diff(j)]).collect())
+            .collect()
+    }
 
     fn rand_seq(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed | 1;
@@ -142,12 +115,6 @@ mod tests {
         for (xi, bi) in x.iter().zip(&b) {
             assert!((xi - bi).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite_matrix() {
-        let a = vec![vec![1.0, 2.0], vec![2.0, 1.0]]; // eigenvalues 3, -1
-        assert!(cholesky(&a).is_none());
     }
 
     #[test]

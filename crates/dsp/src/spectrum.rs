@@ -18,7 +18,7 @@ pub struct Psd {
 
 impl Psd {
     /// Power values in dB (10·log10), floored at -300 dB.
-    pub fn power_db(&self) -> Vec<f64> {
+    fn power_db(&self) -> Vec<f64> {
         self.power
             .iter()
             .map(|&p| 10.0 * p.max(1e-30).log10())
@@ -234,7 +234,7 @@ mod tests {
             .frames
             .iter()
             .zip(&st.times)
-            .filter(|(_, &t)| t < 0.3 || t > 0.7)
+            .filter(|(_, &t)| !(0.3..=0.7).contains(&t))
             .map(|(f, _)| f[bin_2k])
             .sum();
         assert!(in_burst > 100.0 * outside.max(1e-30));

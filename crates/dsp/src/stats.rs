@@ -34,7 +34,7 @@ pub fn median(xs: &[f64]) -> f64 {
 /// Complementary error function (Abramowitz & Stegun 7.1.26-style rational
 /// approximation refined with one extra term; max abs error < 1.2e-7, more
 /// than enough for BER curves).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -61,23 +61,13 @@ pub fn qfunc(x: f64) -> f64 {
 
 /// Theoretical BPSK bit error rate at a given per-bit SNR (linear Eb/N0):
 /// `BER = Q(sqrt(2·snr))`.
-pub fn bpsk_ber(snr_linear: f64) -> f64 {
+fn bpsk_ber(snr_linear: f64) -> f64 {
     qfunc((2.0 * snr_linear.max(0.0)).sqrt())
 }
 
 /// Theoretical BPSK BER at SNR given in dB.
 pub fn bpsk_ber_db(snr_db: f64) -> f64 {
     bpsk_ber(10f64.powf(snr_db / 10.0))
-}
-
-/// Converts linear power ratio to dB.
-pub fn to_db(x: f64) -> f64 {
-    10.0 * x.max(1e-300).log10()
-}
-
-/// Converts dB to linear power ratio.
-pub fn from_db(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
 }
 
 #[cfg(test)]
@@ -122,13 +112,6 @@ mod tests {
             let b = bpsk_ber_db(snr_db as f64);
             assert!(b < prev);
             prev = b;
-        }
-    }
-
-    #[test]
-    fn db_roundtrip() {
-        for x in [0.001, 0.5, 1.0, 42.0] {
-            assert!((from_db(to_db(x)) - x).abs() / x < 1e-12);
         }
     }
 }

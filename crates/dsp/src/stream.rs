@@ -93,7 +93,7 @@ impl OverlapSaveCorrelator {
     }
 
     /// Template length `M` this correlator was planned for.
-    pub fn template_len(&self) -> usize {
+    fn template_len(&self) -> usize {
         self.m
     }
 
@@ -101,12 +101,6 @@ impl OverlapSaveCorrelator {
     /// time once the stream warms up).
     pub fn block_len(&self) -> usize {
         self.block
-    }
-
-    /// Absolute index of the next output [`push`](Self::push) or
-    /// [`flush`](Self::flush) will emit.
-    pub fn next_output_index(&self) -> usize {
-        self.emitted
     }
 
     /// Feeds a chunk (any length, including empty) and returns the
@@ -206,16 +200,6 @@ impl StreamingNormalizedXcorr {
             t_norm: template.iter().map(|v| v * v).sum::<f64>().sqrt(),
             emitted: 0,
         }
-    }
-
-    /// Template length `M`.
-    pub fn template_len(&self) -> usize {
-        self.corr.template_len()
-    }
-
-    /// Absolute index of the next output to be emitted.
-    pub fn next_output_index(&self) -> usize {
-        self.emitted
     }
 
     /// Feeds a chunk; returns newly computable normalized correlations.
@@ -352,7 +336,7 @@ mod tests {
         let mut os = OverlapSaveCorrelator::new(&tpl);
         assert!(os.push(&[]).is_empty());
         assert!(os.flush().is_empty());
-        assert_eq!(os.next_output_index(), 0);
+        assert_eq!(os.emitted, 0);
     }
 
     #[test]

@@ -245,11 +245,6 @@ pub fn fig18() -> String {
     table.render()
 }
 
-/// Characterization smoke checks used by integration tests.
-pub fn reciprocity_air_vs_water() -> (f64, f64) {
-    (reciprocity_gap(Site::Air), reciprocity_gap(Site::Lake))
-}
-
 /// Channel delay-spread survey: the quantitative backing for the §2.3
 /// equalizer design (delay spread ≫ 67-sample CP at reflector-rich sites,
 /// which is why the receiver shortens the channel with a 480-tap MMSE FIR
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn fig3cd_water_less_reciprocal_than_air() {
-        let (air, water) = reciprocity_air_vs_water();
+        let (air, water) = (reciprocity_gap(Site::Air), reciprocity_gap(Site::Lake));
         assert!(water > air, "water {water} vs air {air}");
     }
 

@@ -88,12 +88,6 @@ impl ExperimentEngine {
     pub fn trials_run(&self) -> usize {
         self.trials.load(Ordering::Relaxed)
     }
-
-    /// Counts trials executed outside [`ExperimentEngine::trial_series`]
-    /// (the serial baseline path) so throughput reports stay honest.
-    pub fn note_trials(&self, n: usize) {
-        self.trials.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 /// The process-wide engine, sized from the environment on first use.

@@ -17,7 +17,7 @@ use aqua_phy::preamble::{detect, detect_streaming, DetectorConfig, Preamble};
 use aquapp::trial::{front_end, TrialConfig};
 
 /// The three mobility scenarios of §3 ("Effect of mobility").
-pub fn mobility_scenarios(base: Pos) -> [(&'static str, Trajectory); 3] {
+fn mobility_scenarios(base: Pos) -> [(&'static str, Trajectory); 3] {
     [
         ("static", Trajectory::fixed(base)),
         ("slow (2.5 m/s²)", Trajectory::slow(base, 33)),
@@ -77,7 +77,7 @@ pub fn fig14(size: RunSize) -> String {
 /// One Fig. 16 stability sample: Alice sends two preambles separated by
 /// the feedback gap; Bob selects a band from the first and reports the
 /// minimum SNR inside it measured on the second.
-pub fn stability_sample(traj: &Trajectory, seed: u64) -> Option<f64> {
+fn stability_sample(traj: &Trajectory, seed: u64) -> Option<f64> {
     let params = OfdmParams::default();
     let preamble = Preamble::new(params);
     let mut link = Link::new(LinkConfig {

@@ -4,7 +4,7 @@ use aqua_channel::environments::Environment;
 use aqua_channel::geometry::Pos;
 use aqua_channel::link::{Link, LinkConfig, SAMPLE_RATE};
 use aqua_dsp::stats::median;
-use aquapp::trial::{run_trial, TrialConfig, TrialResult};
+use aquapp::trial::{TrialConfig, TrialResult};
 
 /// Global run-size knob: `quick` shrinks packet counts for smoke tests and
 /// benches; `full` approximates the paper's 100-packet runs.
@@ -74,19 +74,11 @@ pub struct SeriesStats {
 }
 
 /// Runs `n` packet exchanges built by `make` (seed varies per packet) on
-/// the parallel engine. Results are bit-identical to
-/// [`packet_series_serial`] — see DESIGN.md §8 for the determinism
+/// the parallel engine. Results are bit-identical to the serial
+/// `(0..n).map(run_trial)` — see DESIGN.md §8 for the determinism
 /// contract.
 pub fn packet_series(n: usize, make: impl Fn(u64) -> TrialConfig + Sync) -> SeriesStats {
     summarize(crate::engine::global().trial_series(n, make))
-}
-
-/// The serial reference path: same trials, same order, one thread. Kept
-/// for the determinism regression suite and single-core baselines.
-pub fn packet_series_serial(n: usize, make: impl Fn(u64) -> TrialConfig) -> SeriesStats {
-    let trials: Vec<TrialResult> = (0..n).map(|i| run_trial(&make(i as u64))).collect();
-    crate::engine::global().note_trials(n);
-    summarize(trials)
 }
 
 /// Summarizes a set of trials. See [`SeriesStats`] for the per-metric

@@ -30,7 +30,6 @@ pub fn calibrate_threshold(noise: &[f64], fs: f64, margin: f64) -> f64 {
 /// the 80 ms cadence.
 pub struct CarrierSense {
     fir: StreamingFir,
-    fs: f64,
     threshold: f64,
     window: usize,
     acc: f64,
@@ -45,7 +44,6 @@ impl CarrierSense {
         let taps = design_bandpass(129, 1000.0, 4000.0, fs, Window::Hamming);
         Self {
             fir: StreamingFir::new(taps),
-            fs,
             threshold,
             window: (SENSE_INTERVAL_S * fs).round() as usize,
             acc: 0.0,
@@ -68,26 +66,11 @@ impl CarrierSense {
         }
     }
 
-    /// The most recent completed 80 ms energy measurement.
-    pub fn last_energy(&self) -> Option<f64> {
-        self.last_energy
-    }
-
     /// Whether the channel currently reads busy.
     pub fn busy(&self) -> bool {
         self.last_energy
             .map(|e| e > self.threshold)
             .unwrap_or(false)
-    }
-
-    /// Sample rate the sensor was built for.
-    pub fn sample_rate(&self) -> f64 {
-        self.fs
-    }
-
-    /// The calibrated threshold (mean in-band power).
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 }
 
@@ -154,12 +137,9 @@ mod tests {
         let fs = 48000.0;
         let mut cs = CarrierSense::new(fs, 1.0);
         cs.feed(&vec![0.0; 3839]);
-        assert!(cs.last_energy().is_none(), "no full window yet");
+        assert!(cs.last_energy.is_none(), "no full window yet");
         cs.feed(&[0.0]);
-        assert!(
-            cs.last_energy().is_some(),
-            "3840 samples = one 80 ms window"
-        );
+        assert!(cs.last_energy.is_some(), "3840 samples = one 80 ms window");
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!   [`netsim`] on small dense configs (the oracle-equivalence contract),
 //!   and the engine behind the 10 000-node `repro ocean` deployments.
 //!
-//! [`preamble_cs`] implements the preamble-detection-based carrier sense
-//! the paper lists as an improvement in §2.4 (it defers only on actual
-//! modem preambles, not on loud noise events). RTS/CTS-style feedback
-//! preambles remain unimplemented, as in the paper.
+//! Preamble-detection-based carrier sense, which the paper lists as a
+//! possible improvement in §2.4, and RTS/CTS-style feedback preambles are
+//! not implemented, as in the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +24,6 @@ pub mod budget;
 pub mod carrier;
 pub mod netsim;
 pub mod ocean;
-pub mod preamble_cs;
 
 pub use carrier::{band_energy, calibrate_threshold, CarrierSense};
 pub use netsim::{collision_stats, simulate, MacConfig, MacResult};
-pub use preamble_cs::PreambleCarrierSense;

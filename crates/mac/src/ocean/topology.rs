@@ -101,7 +101,7 @@ impl RangeGain {
 
     /// Range beyond which sensed power drops below `noise / 8` — the
     /// medium's sensitivity cutoff for neighbor lists.
-    pub fn hearing_radius(&self) -> f64 {
+    fn hearing_radius(&self) -> f64 {
         self.range_for_sensed(self.noise / 8.0)
     }
 }
@@ -294,7 +294,8 @@ pub struct GeoMedium {
 
 impl GeoMedium {
     /// Builds neighbor lists for `positions` under the sensitivity cutoff
-    /// of `rg` ([`RangeGain::hearing_radius`]).
+    /// of `rg`: the range beyond which sensed power drops below
+    /// `noise / 8`.
     pub fn new(positions: Vec<Pos>, rg: RangeGain) -> Self {
         let radius = rg.hearing_radius();
         let cells = Cells::new(&positions, radius);
@@ -322,11 +323,6 @@ impl GeoMedium {
             cell: cells.of,
             near: cells.near,
         }
-    }
-
-    /// The range-gain fit backing this medium.
-    pub fn range_gain(&self) -> &RangeGain {
-        &self.rg
     }
 
     /// Euclidean range between two nodes, meters.
@@ -432,7 +428,7 @@ mod tests {
                 assert!(m.gain(j as usize, i) > 0.0);
             }
         }
-        if m.range_m(0, 63) > m.range_gain().hearing_radius() {
+        if m.range_m(0, 63) > rg.hearing_radius() {
             assert_eq!(m.gain(0, 63), 0.0, "out-of-range pair has zero gain");
         }
     }

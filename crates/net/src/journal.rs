@@ -345,7 +345,7 @@ impl Journal {
     }
 
     /// Total log bytes on flash (durable + staged).
-    pub fn len_bytes(&self) -> usize {
+    fn len_bytes(&self) -> usize {
         self.stable.len() + self.staged.len()
     }
 

@@ -167,9 +167,7 @@ mod tests {
     #[test]
     fn notch_splits_band_and_larger_side_wins() {
         let mut snr = vec![12.0; 60];
-        for k in 20..25 {
-            snr[k] = -5.0; // deep notch
-        }
+        snr[20..25].fill(-5.0); // deep notch
         let band = select_band(&snr, &cfg()).unwrap();
         // left run 0..=19 (len 20), right run 25..=59 (len 35) → right wins
         assert_eq!(band, Band::new(25, 59));

@@ -25,17 +25,6 @@ pub struct ChannelEstimate {
 }
 
 impl ChannelEstimate {
-    /// Mean SNR across all usable bins (dB, power-averaged).
-    pub fn mean_snr_db(&self) -> f64 {
-        let lin: f64 = self
-            .snr_db
-            .iter()
-            .map(|&s| 10f64.powf(s / 10.0))
-            .sum::<f64>()
-            / self.snr_db.len() as f64;
-        10.0 * lin.log10()
-    }
-
     /// Minimum SNR over an inclusive bin range (the Fig. 16 stability
     /// metric).
     pub fn min_snr_in(&self, start: usize, end: usize) -> f64 {
@@ -95,6 +84,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    impl ChannelEstimate {
+        /// Mean SNR across all usable bins (dB, power-averaged).
+        fn mean_snr_db(&self) -> f64 {
+            let lin: f64 = self
+                .snr_db
+                .iter()
+                .map(|&s| 10f64.powf(s / 10.0))
+                .sum::<f64>()
+                / self.snr_db.len() as f64;
+            10.0 * lin.log10()
+        }
+    }
 
     fn awgn(sig: &[f64], snr_db: f64, seed: u64) -> Vec<f64> {
         let p_sig: f64 = sig.iter().map(|v| v * v).sum::<f64>() / sig.len() as f64;
@@ -163,16 +165,17 @@ mod tests {
         // H(f) = 1 − 0.95·e^{−j2πf·d/fs}: with d = 16 the notches sit at
         // multiples of 3 kHz (usable bin 40) and the peak at 1.5 kHz (bin 10).
         let delay = 16usize;
-        let mut rx = vec![0.0; p.samples.len()];
-        for i in 0..p.samples.len() {
-            rx[i] = p.samples[i]
-                - 0.95
-                    * if i >= delay {
-                        p.samples[i - delay]
-                    } else {
-                        0.0
-                    };
-        }
+        let rx: Vec<f64> = (0..p.samples.len())
+            .map(|i| {
+                p.samples[i]
+                    - 0.95
+                        * if i >= delay {
+                            p.samples[i - delay]
+                        } else {
+                            0.0
+                        }
+            })
+            .collect();
         let rx = awgn(&rx, 30.0, 7);
         let est = estimate(&params, &p, &rx);
         let notch_bin = 40; // 3 kHz

@@ -67,22 +67,15 @@ pub struct FeedbackDecode {
     pub quality: f64,
 }
 
-/// Decodes a feedback symbol by sliding an FFT window over `rx` (up to the
+/// Decodes a feedback symbol by sliding a window over `rx` (up to the
 /// maximum round-trip ambiguity) and picking the position where two bins
 /// dominate the band (§2.2.3). Returns `None` when nothing dominates.
-pub fn decode_feedback(
-    params: &OfdmParams,
-    rx: &[f64],
-    min_quality: f64,
-) -> Option<FeedbackDecode> {
-    decode_feedback_whitened(params, rx, min_quality, None)
-}
-
-/// [`decode_feedback`] with noise whitening: `noise_bin_power`, when
-/// provided, is the receiver's calibrated ambient noise power per usable
-/// bin (ambient noise is strongly colored underwater — Fig. 4 — so an
-/// unwhitened detector lets loud low-frequency noise bins outvote a faded
-/// high-frequency tone).
+///
+/// `noise_bin_power` whitens the decision: when provided, it is the
+/// receiver's calibrated ambient noise power per usable bin (ambient noise
+/// is strongly colored underwater — Fig. 4 — so an unwhitened detector
+/// lets loud low-frequency noise bins outvote a faded high-frequency
+/// tone).
 ///
 /// The window scan runs on a [`SlidingGoertzel`] bank: the usable-bin DFT
 /// coefficients advance per sample in O(num_bins) instead of re-running a
@@ -260,11 +253,6 @@ pub fn encode_tone(params: &OfdmParams, bin: usize) -> Vec<f64> {
     normalize_peak(synthesize(params, &values))
 }
 
-/// The ACK symbol: all power on the first usable bin (1 kHz, §2.3).
-pub fn encode_ack(params: &OfdmParams) -> Vec<f64> {
-    encode_tone(params, 0)
-}
-
 /// Decodes a single-tone symbol from a window: slides the usable-bin
 /// Goertzel bank per sample and returns the dominant bin and its power
 /// fraction at the best-aligned position, or `None` below `min_quality`.
@@ -330,7 +318,7 @@ mod tests {
             let mut rx = vec![0.0; 500];
             rx.extend_from_slice(&sym);
             rx.extend(vec![0.0; 500]);
-            let dec = decode_feedback(&p, &rx, 0.5).expect("decode");
+            let dec = decode_feedback_whitened(&p, &rx, 0.5, None).expect("decode");
             assert_eq!(dec.band, band, "band {band:?}");
             assert!(dec.quality > 0.8);
         }
@@ -343,7 +331,7 @@ mod tests {
         let sym = encode_feedback(&p, band);
         let mut rx = vec![0.0; 300];
         rx.extend_from_slice(&sym);
-        let dec = decode_feedback(&p, &rx, 0.5).expect("decode");
+        let dec = decode_feedback_whitened(&p, &rx, 0.5, None).expect("decode");
         assert_eq!(dec.band, band);
     }
 
@@ -356,7 +344,7 @@ mod tests {
         rx.extend(sym.iter().map(|v| v * 0.02)); // -34 dB
         rx.extend(vec![0.0; 1000]);
         awgn(&mut rx, 0.004, 3);
-        let dec = decode_feedback(&p, &rx, 0.3).expect("decode under noise");
+        let dec = decode_feedback_whitened(&p, &rx, 0.3, None).expect("decode under noise");
         assert_eq!(dec.band, band);
     }
 
@@ -365,7 +353,7 @@ mod tests {
         let p = params();
         let mut rx = vec![0.0; 5000];
         awgn(&mut rx, 0.1, 9);
-        assert!(decode_feedback(&p, &rx, 0.5).is_none());
+        assert!(decode_feedback_whitened(&p, &rx, 0.5, None).is_none());
     }
 
     #[test]
@@ -383,15 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn ack_is_the_1khz_bin() {
-        let p = params();
-        let sym = encode_ack(&p);
-        let (bin, _) = decode_tone(&p, &sym, 0.3).unwrap();
-        assert_eq!(bin, 0);
-        assert!((p.bin_freq_hz(bin) - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn feedback_at_unknown_offset_is_found() {
         let p = params();
         let band = Band::new(3, 44);
@@ -401,7 +380,7 @@ mod tests {
         rx.extend_from_slice(&sym);
         rx.extend(vec![0.0; 800]);
         awgn(&mut rx, 0.002, 5);
-        let dec = decode_feedback(&p, &rx, 0.4).expect("decode");
+        let dec = decode_feedback_whitened(&p, &rx, 0.4, None).expect("decode");
         assert_eq!(dec.band, band);
         assert!(dec.offset.abs_diff(1717 + p.cp) <= p.n_fft / 8);
     }
@@ -409,7 +388,7 @@ mod tests {
     #[test]
     fn short_window_returns_none() {
         let p = params();
-        assert!(decode_feedback(&p, &[0.0; 100], 0.1).is_none());
+        assert!(decode_feedback_whitened(&p, &[0.0; 100], 0.1, None).is_none());
         assert!(decode_tone(&p, &[0.0; 100], 0.1).is_none());
     }
 }

@@ -48,7 +48,7 @@ impl FrameConfig {
     }
 
     /// Length of the silent feedback gap in samples.
-    pub fn gap_len(&self) -> usize {
+    fn gap_len(&self) -> usize {
         self.gap_symbols * self.params.symbol_len()
     }
 
@@ -141,7 +141,7 @@ mod tests {
     fn training_is_located_at_expected_position() {
         let c = cfg();
         let band = Band::new(0, 59);
-        let data = modulate_data(&c.params, band, &vec![1u8; 16]);
+        let data = modulate_data(&c.params, band, &[1u8; 16]);
         let mut rx = vec![0.0; 5000];
         rx.extend_from_slice(&data);
         rx.extend(vec![0.0; 500]);
@@ -153,7 +153,7 @@ mod tests {
     fn training_found_despite_timing_error_and_noise() {
         let c = cfg();
         let band = Band::new(10, 40);
-        let data = modulate_data(&c.params, band, &vec![0u8; 16]);
+        let data = modulate_data(&c.params, band, &[0u8; 16]);
         let actual = 4870; // 130 samples early vs expectation
         let mut rx = vec![0.0; actual];
         rx.extend_from_slice(&data);

@@ -102,92 +102,6 @@ pub fn demodulate(params: &FskParams, rx: &[f64], offset: usize, n_bits: usize) 
     bits
 }
 
-/// Per-bit soft metric `(p0 − p1)/(p0 + p1)` in [-1, 1]; positive favors 0.
-pub fn soft_metrics(params: &FskParams, rx: &[f64], offset: usize, n_bits: usize) -> Vec<f64> {
-    (0..n_bits)
-        .map(|i| {
-            let start = offset + i * params.symbol_len;
-            let end = (start + params.symbol_len).min(rx.len());
-            if start >= rx.len() {
-                return 0.0;
-            }
-            let window = &rx[start..end];
-            let p0 = goertzel_power(window, params.f0, params.fs);
-            let p1 = goertzel_power(window, params.f1, params.fs);
-            (p0 - p1) / (p0 + p1).max(1e-30)
-        })
-        .collect()
-}
-
-/// Modulates bits with `r`-fold repetition: each bit is sent `r` times
-/// consecutively. An SOS beacon extension beyond the paper: repetition
-/// buys ~10·log10(r)/2 dB of effective SNR at the majority-vote decoder —
-/// useful past the 113 m range where raw FSK starts failing (Fig. 12d).
-pub fn modulate_repetition(params: &FskParams, bits: &[u8], r: usize) -> Vec<f64> {
-    assert!(r >= 1);
-    let expanded: Vec<u8> = bits
-        .iter()
-        .flat_map(|&b| std::iter::repeat_n(b, r))
-        .collect();
-    modulate(params, &expanded)
-}
-
-/// Decodes `r`-fold repeated bits by soft combining: sums the per-symbol
-/// soft metrics of each repetition group and takes the sign.
-pub fn demodulate_repetition(
-    params: &FskParams,
-    rx: &[f64],
-    offset: usize,
-    n_bits: usize,
-    r: usize,
-) -> Vec<u8> {
-    assert!(r >= 1);
-    let soft = soft_metrics(params, rx, offset, n_bits * r);
-    soft.chunks(r)
-        .map(|group| {
-            let sum: f64 = group.iter().sum();
-            if sum >= 0.0 {
-                0
-            } else {
-                1
-            }
-        })
-        .collect()
-}
-
-/// Finds the start of an FSK frame by sliding a one-symbol window and
-/// looking for the first position where tone energy (at `f0` or `f1`)
-/// dominates the window's total energy. Returns the sample offset.
-pub fn detect_start(params: &FskParams, rx: &[f64], min_tone_fraction: f64) -> Option<usize> {
-    let w = params.symbol_len;
-    if rx.len() < w {
-        return None;
-    }
-    let step = (w / 16).max(1);
-    let mut pos = 0usize;
-    let mut best: Option<(usize, f64)> = None;
-    while pos + w <= rx.len() {
-        let window = &rx[pos..pos + w];
-        let p_tone = goertzel_power(window, params.f0, params.fs)
-            + goertzel_power(window, params.f1, params.fs);
-        let total: f64 = window.iter().map(|v| v * v).sum::<f64>() * w as f64 / 2.0;
-        let frac = p_tone / total.max(1e-30);
-        if frac >= min_tone_fraction {
-            // refine: walk back while the previous step still qualifies
-            match best {
-                None => best = Some((pos, frac)),
-                Some((_, bf)) if frac > bf * 1.2 => best = Some((pos, frac)),
-                _ => {}
-            }
-            if best.map(|(p, _)| pos > p + 2 * w).unwrap_or(false) {
-                break; // locked well past the frame start
-            }
-        }
-        pos += step;
-    }
-    best.map(|(p, _)| p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,64 +148,6 @@ mod tests {
         let sig_rms = (tx.iter().map(|v| v * v).sum::<f64>() / tx.len() as f64).sqrt();
         let rx = awgn(&tx, sig_rms * 3.16, 5); // -10 dB
         assert_eq!(demodulate(&p, &rx, 0, bits.len()), bits);
-    }
-
-    #[test]
-    fn soft_metrics_have_correct_signs() {
-        let p = FskParams::bps20();
-        let bits = vec![0, 1, 0];
-        let tx = modulate(&p, &bits);
-        let soft = soft_metrics(&p, &tx, 0, 3);
-        assert!(soft[0] > 0.8);
-        assert!(soft[1] < -0.8);
-        assert!(soft[2] > 0.8);
-    }
-
-    #[test]
-    fn detects_frame_start_in_noise() {
-        let p = FskParams::bps20();
-        let bits = vec![1, 0, 1, 0, 1, 1, 0, 0];
-        let tx = modulate(&p, &bits);
-        let lead = 2 * p.symbol_len;
-        let mut sig = vec![0.0; lead];
-        sig.extend_from_slice(&tx);
-        let sig = awgn(&sig, 0.02, 7);
-        let start = detect_start(&p, &sig, 0.5).expect("frame start");
-        assert!(
-            start.abs_diff(lead) < p.symbol_len / 2,
-            "start {start}, expected ≈{lead}"
-        );
-        // decoding from the detected start still works (symbol-level
-        // misalignment under half a symbol is tolerated by energy detection)
-        let rx = demodulate(&p, &sig, lead, bits.len());
-        assert_eq!(rx, bits);
-    }
-
-    #[test]
-    fn repetition_roundtrip_and_gain() {
-        let p = FskParams::bps20();
-        let bits = vec![1, 0, 0, 1, 1, 0];
-        let tx = modulate_repetition(&p, &bits, 3);
-        assert_eq!(tx.len(), 3 * bits.len() * p.symbol_len);
-        // clean roundtrip
-        assert_eq!(demodulate_repetition(&p, &tx, 0, bits.len(), 3), bits);
-        // at an SNR where single-shot FSK is marginal, repetition wins
-        let sig_rms = (tx.iter().map(|v| v * v).sum::<f64>() / tx.len() as f64).sqrt();
-        let mut err_single = 0usize;
-        let mut err_rep = 0usize;
-        for seed in 0..8u64 {
-            let noisy_rep = awgn(&tx, sig_rms * 8.0, seed); // -18 dB
-            let got = demodulate_repetition(&p, &noisy_rep, 0, bits.len(), 3);
-            err_rep += got.iter().zip(&bits).filter(|(a, b)| a != b).count();
-            let tx1 = modulate(&p, &bits);
-            let noisy1 = awgn(&tx1, sig_rms * 8.0, seed);
-            let got1 = demodulate(&p, &noisy1, 0, bits.len());
-            err_single += got1.iter().zip(&bits).filter(|(a, b)| a != b).count();
-        }
-        assert!(
-            err_rep <= err_single,
-            "rep {err_rep} vs single {err_single}"
-        );
     }
 
     #[test]

@@ -19,15 +19,12 @@
 //! - [`frame`]: packet framing and the post-preamble feedback protocol
 //!   timing (§2.2).
 //! - [`fsk`]: the 5/10/20 bps long-range SOS beacon modem.
-//! - [`doppler`]: preamble-based time-scale estimation/compensation (an
-//!   extension beyond the paper's diver-speed regime).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bandselect;
 pub mod chanest;
-pub mod doppler;
 pub mod equalizer;
 pub mod feedback;
 pub mod frame;

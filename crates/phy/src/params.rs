@@ -70,13 +70,6 @@ impl OfdmParams {
         (self.first_bin + k) as f64 * self.spacing_hz()
     }
 
-    /// Closest usable-bin index for a frequency, if it falls in the band.
-    pub fn bin_of_freq(&self, freq_hz: f64) -> Option<usize> {
-        let bin = (freq_hz / self.spacing_hz()).round() as usize;
-        (bin >= self.first_bin && bin < self.first_bin + self.num_bins)
-            .then(|| bin - self.first_bin)
-    }
-
     /// Samples per symbol including the cyclic prefix.
     pub fn symbol_len(&self) -> usize {
         self.n_fft + self.cp
@@ -87,21 +80,10 @@ impl OfdmParams {
         self.symbol_len() as f64 / self.fs
     }
 
-    /// Cyclic-prefix overhead fraction.
-    pub fn cp_overhead(&self) -> f64 {
-        self.cp as f64 / self.n_fft as f64
-    }
-
     /// The paper's coded-bitrate metric for a selected band of `l` bins:
     /// `l × spacing × 2/3` (BPSK, rate-2/3; e.g. 19 bins → 633.3 bps).
     pub fn coded_bitrate_bps(&self, l: usize) -> f64 {
         l as f64 * self.spacing_hz() * 2.0 / 3.0
-    }
-
-    /// Effective coded bitrate including CP overhead (the paper's headline
-    /// "1.8 kbps" for the full band at 50 Hz spacing).
-    pub fn coded_bitrate_with_cp_bps(&self, l: usize) -> f64 {
-        l as f64 * (2.0 / 3.0) / self.symbol_duration_s()
     }
 
     /// Per-bin BPSK amplitude that yields `target_rms` when `l` bins are
@@ -122,6 +104,13 @@ impl Default for OfdmParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OfdmParams {
+        /// Cyclic-prefix overhead fraction.
+        fn cp_overhead(&self) -> f64 {
+            self.cp as f64 / self.n_fft as f64
+        }
+    }
 
     #[test]
     fn default_matches_paper_numerology() {
@@ -145,7 +134,7 @@ mod tests {
         assert!((p.coded_bitrate_bps(4) - 133.333).abs() < 0.01);
         // full band -> 2 kbps nominal, ~1.87 kbps with CP (paper's 1.8 kbps)
         assert!((p.coded_bitrate_bps(60) - 2000.0).abs() < 0.01);
-        let with_cp = p.coded_bitrate_with_cp_bps(60);
+        let with_cp = 60.0 * (2.0 / 3.0) / p.symbol_duration_s();
         assert!(with_cp > 1800.0 && with_cp < 1900.0, "{with_cp}");
     }
 
@@ -163,16 +152,6 @@ mod tests {
             // CP overhead stays ~7%
             assert!((p.cp_overhead() - 0.07).abs() < 0.003);
         }
-    }
-
-    #[test]
-    fn bin_of_freq_roundtrips() {
-        let p = OfdmParams::default();
-        for k in [0usize, 10, 30, 59] {
-            assert_eq!(p.bin_of_freq(p.bin_freq_hz(k)), Some(k));
-        }
-        assert_eq!(p.bin_of_freq(500.0), None);
-        assert_eq!(p.bin_of_freq(5000.0), None);
     }
 
     #[test]

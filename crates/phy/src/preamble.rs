@@ -453,7 +453,7 @@ impl StreamingDetector {
     /// Correlation outputs that are computable from the pushed samples but
     /// still parked inside the overlap-save engine waiting for a full FFT
     /// block.
-    pub fn pending_lag(&self) -> usize {
+    fn pending_lag(&self) -> usize {
         let computable = (self.total + 1).saturating_sub(self.preamble.len());
         computable.saturating_sub(self.corr_base + self.corr.len())
     }

@@ -39,18 +39,6 @@ pub fn synthesize_core(params: &OfdmParams, values: &[Complex]) -> Vec<f64> {
     with_cp[params.cp..].to_vec()
 }
 
-/// Analyzes one OFDM symbol: `samples` must contain at least
-/// `symbol_len()` samples starting at the symbol boundary (CP first).
-/// Returns the complex value of each usable bin.
-pub fn analyze(params: &OfdmParams, samples: &[f64]) -> Vec<Complex> {
-    assert!(
-        samples.len() >= params.symbol_len(),
-        "need a full symbol, got {}",
-        samples.len()
-    );
-    analyze_core(params, &samples[params.cp..params.cp + params.n_fft])
-}
-
 /// Analyzes a symbol core (no CP): FFT + usable-bin extraction. The
 /// usable bins all sit below Nyquist, so the half-spectrum real FFT
 /// computes exactly the bins needed.
@@ -62,19 +50,31 @@ pub fn analyze_core(params: &OfdmParams, core: &[f64]) -> Vec<Complex> {
         .collect()
 }
 
-/// BPSK-maps a bit to a complex bin value with the given amplitude:
-/// bit 0 → +A, bit 1 → −A.
-pub fn bpsk(bit: u8, amplitude: f64) -> Complex {
-    if bit == 0 {
-        Complex::real(amplitude)
-    } else {
-        Complex::real(-amplitude)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Analyzes one OFDM symbol: `samples` must contain at least
+    /// `symbol_len()` samples starting at the symbol boundary (CP first).
+    /// Returns the complex value of each usable bin.
+    fn analyze(params: &OfdmParams, samples: &[f64]) -> Vec<Complex> {
+        assert!(
+            samples.len() >= params.symbol_len(),
+            "need a full symbol, got {}",
+            samples.len()
+        );
+        analyze_core(params, &samples[params.cp..params.cp + params.n_fft])
+    }
+
+    /// BPSK-maps a bit to a complex bin value with the given amplitude:
+    /// bit 0 → +A, bit 1 → −A.
+    fn bpsk(bit: u8, amplitude: f64) -> Complex {
+        if bit == 0 {
+            Complex::real(amplitude)
+        } else {
+            Complex::real(-amplitude)
+        }
+    }
 
     fn params() -> OfdmParams {
         OfdmParams::default()

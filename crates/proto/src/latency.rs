@@ -2,25 +2,15 @@
 //!
 //! The paper argues the bit rates suffice for messaging: a 240-message
 //! selection is ~8 bits (12 after coding), about half a second at 25 bps;
-//! at 1 kbps a 50-character free-text message fits in half a second. These
-//! helpers compute airtime for both framings so the app can show an ETA.
+//! at 1 kbps a 50-character free-text message fits in half a second.
+//! [`exchange_latency_s`] computes the airtime of either framing so the
+//! app can show an ETA.
 
 /// Airtime in seconds to move `payload_bits` at a coded bitrate of
 /// `coded_bps` (the paper's bitrate metric already includes the 2/3 code).
-pub fn payload_airtime_s(payload_bits: usize, coded_bps: f64) -> f64 {
+fn payload_airtime_s(payload_bits: usize, coded_bps: f64) -> f64 {
     assert!(coded_bps > 0.0);
     payload_bits as f64 / (coded_bps * 2.0 / 3.0) * 1.0
-}
-
-/// Airtime for one hand-signal selection (8 bits → 12 coded) at a given
-/// coded bitrate.
-pub fn hand_signal_airtime_s(coded_bps: f64) -> f64 {
-    payload_airtime_s(8, coded_bps)
-}
-
-/// Airtime for a free-text message of `chars` ASCII characters.
-pub fn text_airtime_s(chars: usize, coded_bps: f64) -> f64 {
-    payload_airtime_s(chars * 8, coded_bps)
 }
 
 /// Full exchange latency: protocol overhead (preamble, ID, feedback gap)
@@ -38,11 +28,11 @@ mod tests {
     fn paper_examples_hold() {
         // "It takes close to half a second to send this message at 25 bps"
         // (8-bit hand signal → 12 coded bits at 25 coded bps).
-        let t = hand_signal_airtime_s(25.0);
+        let t = payload_airtime_s(8, 25.0);
         assert!((t - 0.48).abs() < 0.01, "{t}");
         // "At 1 kbps, we can even send a 50 character message in half a
         // second" (400 bits → 600 coded at 1000+ bps...)
-        let t = text_airtime_s(50, 1000.0);
+        let t = payload_airtime_s(50 * 8, 1000.0);
         assert!(t < 0.7, "{t}");
     }
 

@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn ids_fit_in_eight_bits() {
         // 240 <= 256: a message ID fits one byte, two per 16-bit packet
-        assert!(MESSAGE_COUNT <= 256);
+        const { assert!(MESSAGE_COUNT <= 256) };
         let last = codebook().last().unwrap().id;
         assert_eq!(last as usize, MESSAGE_COUNT - 1);
     }

@@ -183,7 +183,7 @@ impl TransferPlan {
     }
 
     /// Number of data fragments.
-    pub fn data_frags(&self) -> usize {
+    fn data_frags(&self) -> usize {
         self.total_bytes.div_ceil(self.params.frag_bytes)
     }
 
@@ -203,7 +203,7 @@ impl TransferPlan {
     }
 
     /// Transmitted fragments in generation `g` (data + parity).
-    pub fn gen_frag_count(&self, g: usize) -> usize {
+    fn gen_frag_count(&self, g: usize) -> usize {
         self.gen_data_count(g) + self.params.parity
     }
 
@@ -337,7 +337,7 @@ impl Reassembler {
     /// Whether generation `g` can be reconstructed: with parity, any
     /// `gen_data_count(g)` of its fragments suffice; without, every data
     /// fragment must be present.
-    pub fn generation_complete(&self, g: usize) -> bool {
+    fn generation_complete(&self, g: usize) -> bool {
         let start = self.plan.gen_start(g);
         let held = (start..start + self.plan.gen_frag_count(g))
             .filter(|&s| self.has(s))

@@ -28,7 +28,7 @@ fn main() {
     // Alice's transmission on her symbol clock: header, silence, data.
     let mut tx = build_header(&frame, &preamble, 7);
     tx.resize(frame.data_start_offset(), 0.0);
-    tx.extend(modulate_data(&frame.params, band, &vec![1u8; 16]));
+    tx.extend(modulate_data(&frame.params, band, &[1u8; 16]));
 
     let mut link = Link::new(LinkConfig::s9_pair(
         Environment::preset(Site::Lake),
