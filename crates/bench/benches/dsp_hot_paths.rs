@@ -36,6 +36,20 @@ fn fft_960(c: &mut Criterion) {
         b.iter(|| black_box(plan_real.forward_half(black_box(&signal))))
     });
 
+    // The renderer's noise block for any render of 16 385–32 768 samples
+    // (and the 0.5 s render's convolution size): one real forward plus one
+    // real inverse at 32 768 through the buffer-reusing paths.
+    let plan_32k = aqua_dsp::fft::RealFft::new(32_768);
+    let block: Vec<f64> = (0..32_768).map(|i| (i as f64 * 0.173).sin()).collect();
+    let (mut spec, mut back) = (Vec::new(), Vec::new());
+    c.bench_function("real_fft_32768_roundtrip", |b| {
+        b.iter(|| {
+            plan_32k.forward_half_into(black_box(&block), &mut spec);
+            plan_32k.inverse_half_into(black_box(&spec), &mut back);
+            black_box(back.len())
+        })
+    });
+
     // The channel renderer's dominant cost: one 0.5 s transmission
     // convolved with a multipath+device FIR (both real → the real-FFT
     // convolution path; next_power_of_two lands on a 32768-point plan).

@@ -86,22 +86,35 @@ impl NoiseProfile {
         }
     }
 
-    /// Interpolates the profile in dB at `freq_hz` (log-frequency linear
-    /// interpolation, clamped at the ends).
-    fn level_db(&self, freq_hz: f64) -> f64 {
-        let f = freq_hz.max(1.0);
-        if f <= self.anchors[0].0 {
-            return self.anchors[0].1;
-        }
-        for w in self.anchors.windows(2) {
-            let (f0, d0) = w[0];
-            let (f1, d1) = w[1];
-            if f <= f1 {
-                let t = (f.ln() - f0.ln()) / (f1.ln() - f0.ln());
-                return d0 + t * (d1 - d0);
-            }
-        }
-        self.anchors.last().unwrap().1
+    /// Interpolates the profile in dB at each of the ascending frequencies
+    /// `freqs_hz` (log-frequency linear interpolation, clamped at the
+    /// ends). The anchor logs are taken once, and the anchor segment walks
+    /// forward as the frequency rises, so each level costs one `ln`.
+    fn levels_db(&self, freqs_hz: impl IntoIterator<Item = f64>) -> Vec<f64> {
+        let anchors = &self.anchors;
+        let logs: Vec<f64> = anchors.iter().map(|&(f, _)| f.ln()).collect();
+        let mut seg = 0;
+        freqs_hz
+            .into_iter()
+            .map(|freq_hz| {
+                let f = freq_hz.max(1.0);
+                if f <= anchors[0].0 {
+                    return anchors[0].1;
+                }
+                // The first segment whose upper anchor is at or above `f`.
+                while seg + 1 < anchors.len() && f > anchors[seg + 1].0 {
+                    seg += 1;
+                }
+                let d0 = anchors[seg].1;
+                match anchors.get(seg + 1) {
+                    Some(&(_, d1)) => {
+                        let t = (f.ln() - logs[seg]) / (logs[seg + 1] - logs[seg]);
+                        d0 + t * (d1 - d0)
+                    }
+                    None => d0,
+                }
+            })
+            .collect()
     }
 
     /// Scales the overall level by `db` decibels.
@@ -143,10 +156,11 @@ impl NoiseGenerator {
     fn gains_for(&mut self, fft_len: usize) -> &[f64] {
         if !self.gains.contains_key(&fft_len) {
             let mic_ripple_phase = (self.mic_color_seed % 628) as f64 / 100.0;
-            let g: Vec<f64> = (0..=fft_len / 2)
-                .map(|j| {
-                    let kf = j as f64 * self.fs / fft_len as f64;
-                    let mut db = self.profile.level_db(kf);
+            let freqs = (0..=fft_len / 2).map(|j| j as f64 * self.fs / fft_len as f64);
+            let g: Vec<f64> = freqs
+                .clone()
+                .zip(self.profile.levels_db(freqs))
+                .map(|(kf, mut db)| {
                     // device-mic coloration: gentle ±2 dB ripple
                     db += 2.0 * (kf / 700.0 + mic_ripple_phase).sin();
                     10f64.powf(db / 20.0)
@@ -310,7 +324,9 @@ mod tests {
     #[test]
     fn level_db_interpolates_between_anchors() {
         let p = NoiseProfile::underwater(0.01);
-        let at_800 = p.level_db(800.0);
-        assert!(at_800 < p.level_db(600.0) && at_800 > p.level_db(1000.0));
+        let levels = p.levels_db([600.0, 800.0, 1000.0]);
+        assert_eq!(levels[0], -8.0);
+        assert_eq!(levels[2], -14.0);
+        assert!(levels[1] < levels[0] && levels[1] > levels[2]);
     }
 }

@@ -183,11 +183,6 @@ impl ArqSession {
         Self::default()
     }
 
-    /// The sequence bit the next transmission will carry.
-    pub fn tx_seq(&self) -> u8 {
-        self.tx_seq
-    }
-
     /// Runs stop-and-wait ARQ: up to `max_attempts` packet exchanges, each
     /// followed by an ACK tone on the reverse link when Bob decodes the
     /// payload. Returns after the first acknowledged delivery.
@@ -413,7 +408,6 @@ mod tests {
 
         // the session moved on: the next message uses the flipped bit and
         // is delivered fresh, not shadowed by the previous exchange
-        assert_eq!(session.tx_seq(), 1);
         let next = session.send(&cfg, 3);
         assert!(next.delivered);
         assert_eq!(next.receiver_deliveries, 1);

@@ -37,15 +37,31 @@ const MAX_DIRECT_PRIME: usize = 31;
 /// transforms of the same length.
 pub struct Fft {
     len: usize,
-    /// Butterfly radices applied in order (pairs of 2s fused into 4s),
-    /// empty for `len == 1` and for Bluestein sizes.
-    radices: Vec<usize>,
-    /// Twiddle table: `twiddles[k] = e^{-2πi k / len}` for `k < len`.
-    twiddles: Vec<Complex>,
+    /// Stockham passes applied in order (pairs of 2s fused into 4s), empty
+    /// for `len == 1` and for Bluestein sizes.
+    passes: Vec<Pass>,
     /// Ping-pong buffer for the Stockham passes (lazily sized).
     scratch: RefCell<Vec<Complex>>,
     /// Bluestein state when `len` has a prime factor above `MAX_DIRECT_PRIME`.
     bluestein: Option<Box<Bluestein>>,
+}
+
+/// One Stockham pass: `src` viewed as `s` interleaved sequences of length
+/// `r·m` is decimated by `r`; outputs land at
+/// `dst[q + s·(r·p + j)] = (Σ_l src[q + s·(p + l·m)]·ω_r^{lj})·w^{pj}`
+/// with `w = e^{-2πi s / len}`.
+struct Pass {
+    /// The radix `r`.
+    radix: usize,
+    /// The stride `s`: the product of the radices of the earlier passes.
+    stride: usize,
+    /// `twiddles` holds `w^{pj} = e^{-2πi·pjs/len}` in the order the
+    /// butterflies read them: `p`-major, then `j = 1..r` for radices 2–5,
+    /// or `j = 0..r` for the generic pass, which multiplies its `j = 0`
+    /// output too.
+    twiddles: Vec<Complex>,
+    /// Generic pass only: `ω_r^k = e^{-2πi·k(len/r)/len}` for `k < r`.
+    roots: Vec<Complex>,
 }
 
 struct Bluestein {
@@ -70,27 +86,54 @@ fn radix_plan(factors: &[usize]) -> Vec<usize> {
     radices
 }
 
+/// Plans the Stockham passes for `radices` (whose product is `len`). Each
+/// table entry is `e^{-2πi k/len}` computed for its exponent `k` exactly
+/// as the full `len`-entry table of roots was, so the butterflies
+/// multiply by the same bits; the tables together hold `len − 1` entries
+/// for radices 2–5.
+fn plan_passes(len: usize, radices: &[usize]) -> Vec<Pass> {
+    let root = |k: usize| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / len as f64);
+    let mut stride = 1;
+    radices
+        .iter()
+        .map(|&radix| {
+            let s = stride;
+            let m = len / (s * radix);
+            let generic = !matches!(radix, 2..=5);
+            let first_j = usize::from(!generic);
+            let pass = Pass {
+                radix,
+                stride: s,
+                twiddles: (0..m)
+                    .flat_map(|p| (first_j..radix).map(move |j| root(p * j * s)))
+                    .collect(),
+                roots: if generic {
+                    (0..radix).map(|k| root(k * (len / radix))).collect()
+                } else {
+                    Vec::new()
+                },
+            };
+            stride *= radix;
+            pass
+        })
+        .collect()
+}
+
 impl Fft {
     /// Plans an FFT of length `len`. Panics if `len == 0`.
     pub fn new(len: usize) -> Self {
         assert!(len > 0, "FFT length must be positive");
         let factors = factorize(len);
         let needs_bluestein = factors.iter().any(|&f| f > MAX_DIRECT_PRIME);
-        let (twiddles, radices) = if needs_bluestein {
-            (Vec::new(), Vec::new())
+        let passes = if needs_bluestein {
+            Vec::new()
         } else {
-            (
-                (0..len)
-                    .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / len as f64))
-                    .collect(),
-                radix_plan(&factors),
-            )
+            plan_passes(len, &radix_plan(&factors))
         };
         let bluestein = needs_bluestein.then(|| Box::new(Bluestein::new(len)));
         Self {
             len,
-            radices,
-            twiddles,
+            passes,
             scratch: RefCell::new(Vec::new()),
             bluestein,
         }
@@ -110,7 +153,7 @@ impl Fft {
     pub fn forward(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.len, "FFT length mismatch");
         if let Some(b) = &self.bluestein {
-            b.transform(data, self.len);
+            b.transform(data);
             return;
         }
         if self.len == 1 {
@@ -122,19 +165,14 @@ impl Fft {
         }
         // Stockham autosort: each pass reads one buffer and writes the
         // other with the next decimation already in place.
-        let mut n = self.len; // current sub-transform length
-        let mut s = 1usize; // stride (number of interleaved sequences)
         let mut in_data = true;
-        for &r in &self.radices {
-            let m = n / r;
+        for pass in &self.passes {
             if in_data {
-                self.pass(r, m, s, data, &mut scratch);
+                pass.run(data, &mut scratch);
             } else {
-                self.pass(r, m, s, &scratch, data);
+                pass.run(&scratch, data);
             }
             in_data = !in_data;
-            n = m;
-            s *= r;
         }
         if !in_data {
             data.copy_from_slice(&scratch);
@@ -153,101 +191,126 @@ impl Fft {
             *c = c.conj().scale(scale);
         }
     }
+}
 
-    /// One Stockham pass: `src` viewed as `s` interleaved sequences of
-    /// length `r·m` is decimated by `r`; outputs land at
-    /// `dst[q + s·(r·p + j)] = (Σ_l src[q + s·(p + l·m)]·ω_r^{lj})·w^{pj}`
-    /// with `w = e^{-2πi s / len}` (twiddle index `p·j·s < len`, no
-    /// modular reduction needed).
-    fn pass(&self, r: usize, m: usize, s: usize, src: &[Complex], dst: &mut [Complex]) {
-        match r {
-            2 => self.pass2(m, s, src, dst),
-            3 => self.pass3(m, s, src, dst),
-            4 => self.pass4(m, s, src, dst),
-            5 => self.pass5(m, s, src, dst),
-            _ => self.pass_generic(r, m, s, src, dst),
+impl Pass {
+    /// Runs the pass from `src` into `dst` (both the plan length). Every
+    /// butterfly walks `src` as `r` blocks of `m·s` and `dst` as `m` groups
+    /// of `r·s`, one `s`-long run per input and output, so its inner loop
+    /// indexes slices of one known length.
+    fn run(&self, src: &[Complex], dst: &mut [Complex]) {
+        match self.radix {
+            2 => self.pass2(src, dst),
+            3 => self.pass3(src, dst),
+            4 => self.pass4(src, dst),
+            5 => self.pass5(src, dst),
+            _ => self.pass_generic(src, dst),
         }
     }
 
-    fn pass2(&self, m: usize, s: usize, src: &[Complex], dst: &mut [Complex]) {
-        let ms = m * s;
-        for p in 0..m {
-            let w = self.twiddles[p * s];
-            let sp = s * p;
-            for q in 0..s {
-                let a = src[q + sp];
-                let b = src[q + sp + ms];
-                dst[q + 2 * sp] = a + b;
-                dst[q + 2 * sp + s] = (a - b) * w;
+    fn pass2(&self, src: &[Complex], dst: &mut [Complex]) {
+        let s = self.stride;
+        let (src0, src1) = src.split_at(src.len() / 2);
+        let groups = dst
+            .chunks_exact_mut(2 * s)
+            .zip(&self.twiddles)
+            .zip(src0.chunks_exact(s).zip(src1.chunks_exact(s)));
+        for ((d, &w), (a0, a1)) in groups {
+            let (d0, d1) = d.split_at_mut(s);
+            for (((d0, d1), &a), &b) in d0.iter_mut().zip(d1).zip(a0).zip(a1) {
+                *d0 = a + b;
+                *d1 = (a - b) * w;
             }
         }
     }
 
-    fn pass3(&self, m: usize, s: usize, src: &[Complex], dst: &mut [Complex]) {
+    fn pass3(&self, src: &[Complex], dst: &mut [Complex]) {
         // ω_3 = −1/2 − i·√3/2
         const S3: f64 = 0.866_025_403_784_438_6; // sin(π/3)
-        let ms = m * s;
-        for p in 0..m {
-            let w1 = self.twiddles[p * s];
-            let w2 = self.twiddles[2 * p * s];
-            let sp = s * p;
+        let s = self.stride;
+        let ms = src.len() / 3;
+        let (src0, rest) = src.split_at(ms);
+        let (src1, src2) = rest.split_at(ms);
+        let groups = dst
+            .chunks_exact_mut(3 * s)
+            .zip(self.twiddles.chunks_exact(2))
+            .zip(src0.chunks_exact(s))
+            .zip(src1.chunks_exact(s).zip(src2.chunks_exact(s)));
+        for (((d, w), a0), (a1, a2)) in groups {
+            let (d0, rest) = d.split_at_mut(s);
+            let (d1, d2) = rest.split_at_mut(s);
+            let (d2, a1, a2) = (&mut d2[..s], &a1[..s], &a2[..s]);
+            let (w1, w2) = (w[0], w[1]);
             for q in 0..s {
-                let a0 = src[q + sp];
-                let a1 = src[q + sp + ms];
-                let a2 = src[q + sp + 2 * ms];
+                let (a0, a1, a2) = (a0[q], a1[q], a2[q]);
                 let t = a1 + a2;
                 let v = (a1 - a2).scale(S3);
                 let mid = a0 - t.scale(0.5);
-                dst[q + 3 * sp] = a0 + t;
-                dst[q + 3 * sp + s] = sub_i(mid, v) * w1;
-                dst[q + 3 * sp + 2 * s] = add_i(mid, v) * w2;
+                d0[q] = a0 + t;
+                d1[q] = sub_i(mid, v) * w1;
+                d2[q] = add_i(mid, v) * w2;
             }
         }
     }
 
-    fn pass4(&self, m: usize, s: usize, src: &[Complex], dst: &mut [Complex]) {
-        let ms = m * s;
-        for p in 0..m {
-            let w1 = self.twiddles[p * s];
-            let w2 = self.twiddles[2 * p * s];
-            let w3 = self.twiddles[3 * p * s];
-            let sp = s * p;
+    fn pass4(&self, src: &[Complex], dst: &mut [Complex]) {
+        let s = self.stride;
+        let ms = src.len() / 4;
+        let (src0, rest) = src.split_at(ms);
+        let (src1, rest) = rest.split_at(ms);
+        let (src2, src3) = rest.split_at(ms);
+        let groups = dst
+            .chunks_exact_mut(4 * s)
+            .zip(self.twiddles.chunks_exact(3))
+            .zip(src0.chunks_exact(s).zip(src1.chunks_exact(s)))
+            .zip(src2.chunks_exact(s).zip(src3.chunks_exact(s)));
+        for (((d, w), (a0, a1)), (a2, a3)) in groups {
+            let (d0, rest) = d.split_at_mut(s);
+            let (d1, rest) = rest.split_at_mut(s);
+            let (d2, d3) = rest.split_at_mut(s);
+            let (d3, a1, a2, a3) = (&mut d3[..s], &a1[..s], &a2[..s], &a3[..s]);
+            let (w1, w2, w3) = (w[0], w[1], w[2]);
             for q in 0..s {
-                let a0 = src[q + sp];
-                let a1 = src[q + sp + ms];
-                let a2 = src[q + sp + 2 * ms];
-                let a3 = src[q + sp + 3 * ms];
+                let (a0, a1, a2, a3) = (a0[q], a1[q], a2[q], a3[q]);
                 let sum02 = a0 + a2;
                 let dif02 = a0 - a2;
                 let sum13 = a1 + a3;
                 let dif13 = a1 - a3;
-                dst[q + 4 * sp] = sum02 + sum13;
-                dst[q + 4 * sp + s] = sub_i(dif02, dif13) * w1;
-                dst[q + 4 * sp + 2 * s] = (sum02 - sum13) * w2;
-                dst[q + 4 * sp + 3 * s] = add_i(dif02, dif13) * w3;
+                d0[q] = sum02 + sum13;
+                d1[q] = sub_i(dif02, dif13) * w1;
+                d2[q] = (sum02 - sum13) * w2;
+                d3[q] = add_i(dif02, dif13) * w3;
             }
         }
     }
 
-    fn pass5(&self, m: usize, s: usize, src: &[Complex], dst: &mut [Complex]) {
+    fn pass5(&self, src: &[Complex], dst: &mut [Complex]) {
         // ω_5^k = C_k − i·S_k
         const C1: f64 = 0.309_016_994_374_947_45; // cos(2π/5)
         const S1: f64 = 0.951_056_516_295_153_5; // sin(2π/5)
         const C2: f64 = -0.809_016_994_374_947_5; // cos(4π/5)
         const S2: f64 = 0.587_785_252_292_473_1; // sin(4π/5)
-        let ms = m * s;
-        for p in 0..m {
-            let w1 = self.twiddles[p * s];
-            let w2 = self.twiddles[2 * p * s];
-            let w3 = self.twiddles[3 * p * s];
-            let w4 = self.twiddles[4 * p * s];
-            let sp = s * p;
+        let s = self.stride;
+        let ms = src.len() / 5;
+        let (src0, rest) = src.split_at(ms);
+        let (src1, rest) = rest.split_at(ms);
+        let (src2, rest) = rest.split_at(ms);
+        let (src3, src4) = rest.split_at(ms);
+        let groups = dst
+            .chunks_exact_mut(5 * s)
+            .zip(self.twiddles.chunks_exact(4))
+            .zip(src0.chunks_exact(s))
+            .zip(src1.chunks_exact(s).zip(src2.chunks_exact(s)))
+            .zip(src3.chunks_exact(s).zip(src4.chunks_exact(s)));
+        for ((((d, w), a0), (a1, a2)), (a3, a4)) in groups {
+            let (d0, rest) = d.split_at_mut(s);
+            let (d1, rest) = rest.split_at_mut(s);
+            let (d2, rest) = rest.split_at_mut(s);
+            let (d3, d4) = rest.split_at_mut(s);
+            let (d4, a1, a2, a3, a4) = (&mut d4[..s], &a1[..s], &a2[..s], &a3[..s], &a4[..s]);
+            let (w1, w2, w3, w4) = (w[0], w[1], w[2], w[3]);
             for q in 0..s {
-                let a0 = src[q + sp];
-                let a1 = src[q + sp + ms];
-                let a2 = src[q + sp + 2 * ms];
-                let a3 = src[q + sp + 3 * ms];
-                let a4 = src[q + sp + 4 * ms];
+                let (a0, a1, a2, a3, a4) = (a0[q], a1[q], a2[q], a3[q], a4[q]);
                 let t1 = a1 + a4;
                 let t2 = a1 - a4;
                 let t3 = a2 + a3;
@@ -256,30 +319,31 @@ impl Fft {
                 let m2 = a0 + t1.scale(C2) + t3.scale(C1);
                 let v1 = t2.scale(S1) + t4.scale(S2);
                 let v2 = t2.scale(S2) - t4.scale(S1);
-                dst[q + 5 * sp] = a0 + t1 + t3;
-                dst[q + 5 * sp + s] = sub_i(m1, v1) * w1;
-                dst[q + 5 * sp + 2 * s] = sub_i(m2, v2) * w2;
-                dst[q + 5 * sp + 3 * s] = add_i(m2, v2) * w3;
-                dst[q + 5 * sp + 4 * s] = add_i(m1, v1) * w4;
+                d0[q] = a0 + t1 + t3;
+                d1[q] = sub_i(m1, v1) * w1;
+                d2[q] = sub_i(m2, v2) * w2;
+                d3[q] = add_i(m2, v2) * w3;
+                d4[q] = add_i(m1, v1) * w4;
             }
         }
     }
 
-    /// Generic odd-prime butterfly using the `len/r`-strided roots of
-    /// unity from the twiddle table.
-    fn pass_generic(&self, r: usize, m: usize, s: usize, src: &[Complex], dst: &mut [Complex]) {
-        let ms = m * s;
-        let root_stride = self.len / r;
-        for p in 0..m {
-            let sp = s * p;
-            for q in 0..s {
-                for j in 0..r {
+    /// Generic odd-prime butterfly: a direct `r`-point DFT over the pass's
+    /// roots of unity.
+    fn pass_generic(&self, src: &[Complex], dst: &mut [Complex]) {
+        let (r, s) = (self.radix, self.stride);
+        let ms = src.len() / r;
+        let groups = dst
+            .chunks_exact_mut(r * s)
+            .zip(self.twiddles.chunks_exact(r));
+        for (p, (d, w)) in groups.enumerate() {
+            for (j, (dj, &wj)) in d.chunks_exact_mut(s).zip(w).enumerate() {
+                for (q, out) in dj.iter_mut().enumerate() {
                     let mut acc = ZERO;
-                    for l in 0..r {
-                        let root = self.twiddles[((l * j) % r) * root_stride];
-                        acc += src[q + sp + l * ms] * root;
+                    for (l, a) in src[p * s + q..].iter().step_by(ms).enumerate() {
+                        acc += *a * self.roots[(l * j) % r];
                     }
-                    dst[q + r * sp + j * s] = acc * self.twiddles[p * j * s];
+                    *out = acc * wj;
                 }
             }
         }
@@ -323,19 +387,19 @@ impl Bluestein {
         }
     }
 
-    fn transform(&self, data: &mut [Complex], len: usize) {
+    fn transform(&self, data: &mut [Complex]) {
         let conv_len = self.inner.len();
         let mut a = vec![ZERO; conv_len];
-        for n in 0..len {
-            a[n] = data[n] * self.chirp[n];
+        for ((x, &d), &c) in a.iter_mut().zip(&*data).zip(&self.chirp) {
+            *x = d * c;
         }
         self.inner.forward(&mut a);
         for (x, f) in a.iter_mut().zip(&self.filter_fd) {
             *x *= *f;
         }
         self.inner.inverse(&mut a);
-        for k in 0..len {
-            data[k] = a[k] * self.chirp[k];
+        for ((d, &x), &c) in data.iter_mut().zip(&a).zip(&self.chirp) {
+            *d = x * c;
         }
     }
 }
@@ -422,27 +486,32 @@ impl RealFft {
             out.truncate(self.spectrum_len());
             return;
         };
-        let m = self.len / 2;
         // Pack adjacent samples into complex pairs: z[n] = x[2n] + i·x[2n+1].
         let mut z = self.pack.borrow_mut();
         z.clear();
-        z.extend((0..m).map(|i| Complex::new(signal[2 * i], signal[2 * i + 1])));
+        z.extend(
+            signal
+                .chunks_exact(2)
+                .map(|pair| Complex::new(pair[0], pair[1])),
+        );
         half.forward(&mut z);
         // Untangle: E[k] = (Z[k]+conj(Z[M−k]))/2 is the even-sample DFT,
         // O[k] = −i·(Z[k]−conj(Z[M−k]))/2 the odd-sample DFT, and
-        // X[k] = E[k] + w^k·O[k].
+        // X[k] = E[k] + w^k·O[k]. Bins 1..M pair Z[1..] with its reverse.
+        let inner = &z[1..];
         out.clear();
-        out.resize(m + 1, ZERO);
-        out[0] = Complex::real(z[0].re + z[0].im);
-        out[m] = Complex::real(z[0].re - z[0].im);
-        for k in 1..m {
-            let zk = z[k];
-            let zc = z[m - k].conj();
-            let even = (zk + zc).scale(0.5);
-            let half_dif = (zk - zc).scale(0.5);
-            let odd = Complex::new(half_dif.im, -half_dif.re); // −i·(Z[k]−conj(Z[M−k]))/2
-            out[k] = even + self.w[k] * odd;
-        }
+        out.reserve(self.spectrum_len());
+        out.push(Complex::real(z[0].re + z[0].im));
+        out.extend(inner.iter().zip(inner.iter().rev()).zip(&self.w[1..]).map(
+            |((&zk, zr), &w)| {
+                let zc = zr.conj();
+                let even = (zk + zc).scale(0.5);
+                let half_dif = (zk - zc).scale(0.5);
+                let odd = Complex::new(half_dif.im, -half_dif.re); // −i·(Z[k]−conj(Z[M−k]))/2
+                even + w * odd
+            },
+        ));
+        out.push(Complex::real(z[0].re - z[0].im));
     }
 
     /// Forward DFT of a real signal, returning the full `len`-bin spectrum
@@ -479,25 +548,32 @@ impl RealFft {
             out.extend(buf.into_iter().map(|c| c.re));
             return;
         };
-        let m = self.len / 2;
         // Reverse the untangling: Z[k] = E[k] + i·O[k] with
         // E[k] = (X[k]+conj(X[M−k]))/2, O[k] = (X[k]−conj(X[M−k]))·w̄^k/2.
+        // Bins 0..M pair X[..M] with the reverse of X[1..].
         let mut z = self.pack.borrow_mut();
         z.clear();
-        z.resize(m, ZERO);
-        for (k, zk) in z.iter_mut().enumerate() {
-            let xk = half_spec[k];
-            let xc = half_spec[m - k].conj();
-            let even = (xk + xc).scale(0.5);
-            let odd = ((xk - xc) * self.w[k].conj()).scale(0.5);
-            *zk = add_i(even, odd);
-        }
+        let m = self.len / 2;
+        let (lower, upper) = (&half_spec[..m], &half_spec[1..]);
+        z.extend(
+            lower
+                .iter()
+                .zip(upper.iter().rev())
+                .zip(&self.w)
+                .map(|((&xk, xr), &w)| {
+                    let xc = xr.conj();
+                    let even = (xk + xc).scale(0.5);
+                    let odd = ((xk - xc) * w.conj()).scale(0.5);
+                    add_i(even, odd)
+                }),
+        );
         half.inverse(&mut z);
+        // Unpack: x[2n] = Re z[n], x[2n+1] = Im z[n].
         out.clear();
-        out.reserve(self.len);
-        for c in z.iter() {
-            out.push(c.re);
-            out.push(c.im);
+        out.resize(self.len, 0.0);
+        for (pair, c) in out.chunks_exact_mut(2).zip(z.iter()) {
+            pair[0] = c.re;
+            pair[1] = c.im;
         }
     }
 }

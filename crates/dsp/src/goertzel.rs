@@ -80,11 +80,6 @@ impl SlidingGoertzel {
         self.n
     }
 
-    /// True once a full window of samples has been pushed.
-    pub fn ready(&self) -> bool {
-        self.count >= self.n
-    }
-
     /// Start index of the current window (`count − n`), once full.
     pub fn window_start(&self) -> Option<usize> {
         self.count.checked_sub(self.n)
@@ -192,7 +187,6 @@ mod tests {
     fn sliding_bank_partial_window_is_zero_padded_dft() {
         let n = 64;
         let mut bank = SlidingGoertzel::new(n, &[5]);
-        assert!(!bank.ready());
         assert_eq!(bank.window_start(), None);
         bank.push(2.0);
         // single sample sits at window position n−1
@@ -208,7 +202,7 @@ mod tests {
             bank.push(i as f64);
         }
         bank.reset();
-        assert!(!bank.ready());
+        assert_eq!(bank.window_start(), None);
         bank.push(1.0);
         let mut fresh = SlidingGoertzel::new(16, &[1, 2]);
         fresh.push(1.0);

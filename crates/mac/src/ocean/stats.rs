@@ -97,11 +97,6 @@ impl CollisionWindow {
         (frac, per)
     }
 
-    /// Packets fed so far (including those still in the window).
-    pub fn pushed(&self) -> u64 {
-        self.total + self.window.len() as u64
-    }
-
     /// Current window length — the memory high-water mark driver.
     pub fn window_len(&self) -> usize {
         self.window.len()
@@ -276,7 +271,6 @@ mod tests {
             w.push((i % 2) as u32, i as f64 * 0.1);
         }
         assert!(w.window_len() <= 6, "window {}", w.window_len());
-        assert_eq!(w.pushed(), 10_000);
     }
 
     #[test]

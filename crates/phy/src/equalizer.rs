@@ -38,14 +38,6 @@ pub struct Equalizer {
 }
 
 impl Equalizer {
-    /// Identity equalizer (pass-through), for ablations.
-    pub fn identity() -> Self {
-        Self {
-            taps: vec![1.0],
-            delay: 0,
-        }
-    }
-
     /// Applies the equalizer, compensating its design delay. Output has the
     /// same length as the input.
     ///
@@ -199,7 +191,10 @@ mod tests {
     #[test]
     fn identity_equalizer_passes_through() {
         let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let eq = Equalizer::identity();
+        let eq = Equalizer {
+            taps: vec![1.0],
+            delay: 0,
+        };
         assert_eq!(eq.apply(&x), x);
     }
 
