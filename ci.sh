@@ -82,6 +82,14 @@ echo "$BENCH_OUT"
 # loaded 1-core container (typical min here: ~20-21 ms = ~190 trials/s).
 check_budget min "trials_per_second" 24.2
 
+echo "==> FFT: pinned transform bits"
+# fft_pinned hashes (floats by bit pattern) the outputs of the complex
+# and real FFTs, both convolution paths and the noise generator on fixed
+# inputs, at lengths covering every Stockham pass kind, Bluestein and the
+# renderer's block sizes. Every layer that renders, filters, detects or
+# demodulates sits on these bits.
+cargo test -q -p aqua-dsp --release --test fft_pinned
+
 echo "==> ocean simulator: oracle equivalence + parallel determinism + stream pins"
 # The PR 6 contracts, run in release where the proptest case count is
 # cheap: the event-driven core must be bit-identical to netsim::simulate

@@ -12,6 +12,17 @@
 //! what brought the 960-point transform from ~26 µs to under the ~15 µs
 //! target (see EXPERIMENTS.md bench table).
 //!
+//! Each pass owns a contiguous table of the twiddles it multiplies by, in
+//! the order its butterflies read them, and walks its source and
+//! destination as `chunks_exact`/`zip` slices of one known length, so the
+//! butterfly loops stream memory without bounds checks. The tables are
+//! built at plan time from the same `e^{-2πik/len}` values one shared
+//! `len`-entry table used to serve at stride `p·s`, and every output is
+//! the same IEEE operations on the same operands in the same order. Rust
+//! never contracts a multiply and an add into an FMA, so no bit of any
+//! result depends on how the loops are laid out (`dsp/tests/fft_pinned.rs`
+//! pins them).
+//!
 //! Nearly every signal in this codebase is real-valued (audio in, audio
 //! out), so [`RealFft`] additionally provides the classic half-size
 //! trick: an N-point real FFT via one N/2-point complex FFT plus O(N)
