@@ -66,10 +66,9 @@ struct Pass {
     radix: usize,
     /// The stride `s`: the product of the radices of the earlier passes.
     stride: usize,
-    /// `twiddles` holds `w^{pj} = e^{-2πi·pjs/len}` in the order the
-    /// butterflies read them: `p`-major, then `j = 1..r` for radices 2–5,
-    /// or `j = 0..r` for the generic pass, which multiplies its `j = 0`
-    /// output too.
+    /// `w^{pj} = e^{-2πi·pjs/len}` in the order the butterflies read
+    /// them: `p`-major, then `j = 1..r` for radices 2–5, or `j = 0..r` for
+    /// the generic pass, which multiplies its `j = 0` output too.
     twiddles: Vec<Complex>,
     /// Generic pass only: `ω_r^k = e^{-2πi·k(len/r)/len}` for `k < r`.
     roots: Vec<Complex>,
@@ -250,6 +249,7 @@ impl Pass {
         for (((d, w), a0), (a1, a2)) in groups {
             let (d0, rest) = d.split_at_mut(s);
             let (d1, d2) = rest.split_at_mut(s);
+            // Every slice the loop indexes is `s` long, visibly to the compiler.
             let (d2, a1, a2) = (&mut d2[..s], &a1[..s], &a2[..s]);
             let (w1, w2) = (w[0], w[1]);
             for q in 0..s {
@@ -279,6 +279,7 @@ impl Pass {
             let (d0, rest) = d.split_at_mut(s);
             let (d1, rest) = rest.split_at_mut(s);
             let (d2, d3) = rest.split_at_mut(s);
+            // Every slice the loop indexes is `s` long, visibly to the compiler.
             let (d3, a1, a2, a3) = (&mut d3[..s], &a1[..s], &a2[..s], &a3[..s]);
             let (w1, w2, w3) = (w[0], w[1], w[2]);
             for q in 0..s {
@@ -318,6 +319,7 @@ impl Pass {
             let (d1, rest) = rest.split_at_mut(s);
             let (d2, rest) = rest.split_at_mut(s);
             let (d3, d4) = rest.split_at_mut(s);
+            // Every slice the loop indexes is `s` long, visibly to the compiler.
             let (d4, a1, a2, a3, a4) = (&mut d4[..s], &a1[..s], &a2[..s], &a3[..s], &a4[..s]);
             let (w1, w2, w3, w4) = (w[0], w[1], w[2], w[3]);
             for q in 0..s {
