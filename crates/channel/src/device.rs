@@ -10,6 +10,7 @@
 //! a few kHz, notch positions varying across models — match the paper's
 //! characterization, which is what the adaptation algorithms respond to.
 
+use aqua_dsp::memo::Memo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,30 +138,34 @@ impl Device {
     /// small (≈1 dB) manufacturing ripple — two phones of the same model
     /// sound nearly alike, different models differ strongly (Fig. 3a).
     pub fn tx_response_db(&self, freq_hz: f64) -> f64 {
-        model_tx_db(self.model, freq_hz) + ripple_db(0x5EED ^ self.unit_seed, freq_hz, 1.0, 2)
+        model_tx_db(self.model, freq_hz) + Ripple::new(0x5EED ^ self.unit_seed, 1.0, 2).db(freq_hz)
     }
 
     /// Microphone (receive) response in dB at `freq_hz` (flatter than the
     /// speaker, milder ripple).
     pub fn rx_response_db(&self, freq_hz: f64) -> f64 {
-        model_rx_db(self.model, freq_hz) + ripple_db(0x31C ^ self.unit_seed, freq_hz, 0.8, 2)
+        model_rx_db(self.model, freq_hz) + Ripple::new(0x31C ^ self.unit_seed, 0.8, 2).db(freq_hz)
     }
 
-    /// Case transmission response in dB at `freq_hz` (applies on both
-    /// transmit and receive).
-    fn case_response_db(&self, freq_hz: f64) -> f64 {
-        let base = -self.case.mean_attenuation_db()
-            + match self.case {
-                CaseKind::None => 0.0,
-                CaseKind::SoftPouch => ripple_db(0xCA5E ^ self.unit_seed, freq_hz, 1.5, 2),
-                CaseKind::HardCase => ripple_db(0x4A2D ^ self.unit_seed, freq_hz, 3.0, 3),
-            };
-        if self.air_in_case {
-            // Air pocket: comb-like ripple with zero mean — shifts the
-            // response shape but not the 1–4 kHz average power (Fig. 18).
-            base + 4.0 * (2.0 * std::f64::consts::PI * freq_hz / 900.0 + 0.7).sin()
-        } else {
-            base
+    /// Case transmission response in dB, as a function of frequency
+    /// (applies on both transmit and receive). The case ripple's phases
+    /// are drawn here, once per returned function.
+    fn case_response_db(&self) -> impl Fn(f64) -> f64 + '_ {
+        let ripple = match self.case {
+            CaseKind::None => None,
+            CaseKind::SoftPouch => Some(Ripple::new(0xCA5E ^ self.unit_seed, 1.5, 2)),
+            CaseKind::HardCase => Some(Ripple::new(0x4A2D ^ self.unit_seed, 3.0, 3)),
+        };
+        move |freq_hz| {
+            let base =
+                -self.case.mean_attenuation_db() + ripple.as_ref().map_or(0.0, |r| r.db(freq_hz));
+            if self.air_in_case {
+                // Air pocket: comb-like ripple with zero mean — shifts the
+                // response shape but not the 1–4 kHz average power (Fig. 18).
+                base + 4.0 * (2.0 * std::f64::consts::PI * freq_hz / 900.0 + 0.7).sin()
+            } else {
+                base
+            }
         }
     }
 
@@ -179,34 +184,33 @@ impl Device {
     /// `tx.tx_response + tx.case + rx.rx_response + rx.case`, in dB.
     pub fn link_response_db(tx: &Device, rx: &Device, freq_hz: f64) -> f64 {
         tx.tx_response_db(freq_hz)
-            + tx.case_response_db(freq_hz)
+            + tx.case_response_db()(freq_hz)
             + rx.rx_response_db(freq_hz)
-            + rx.case_response_db(freq_hz)
+            + rx.case_response_db()(freq_hz)
     }
 
     /// [`link_response_db`](Device::link_response_db) evaluated over a
-    /// whole frequency grid — the FIR-design hot path (a 2049-bin sweep
+    /// whole frequency grid — the FIR-design hot path (a 1025-bin sweep
     /// per link construction, two links per packet trial).
     ///
     /// The model-level response (model ripple, model notches, roll-offs)
     /// is identical for every unit of a model, so it is computed once per
-    /// (model, direction, grid) per thread and cached; only the per-unit
-    /// manufacturing ripple and case response are evaluated per call.
-    /// Values match the pointwise form up to summation-order rounding
-    /// (≤ 1 ulp of dB), which is far below the synthetic model's fidelity.
+    /// (model, direction, grid) per process and shared; the four per-unit
+    /// ripples draw their phases once per sweep, and only their values and
+    /// the case response are evaluated per bin. Values match the pointwise
+    /// form up to summation-order rounding (≤ 1 ulp of dB), which is far
+    /// below the synthetic model's fidelity.
     pub fn link_response_db_grid(tx: &Device, rx: &Device, freqs: &[f64]) -> Vec<f64> {
         let tx_model = model_grid(tx.model, true, freqs);
         let rx_model = model_grid(rx.model, false, freqs);
+        let tx_unit = Ripple::new(0x5EED ^ tx.unit_seed, 1.0, 2);
+        let rx_unit = Ripple::new(0x31C ^ rx.unit_seed, 0.8, 2);
+        let (tx_case, rx_case) = (tx.case_response_db(), rx.case_response_db());
         freqs
             .iter()
             .enumerate()
             .map(|(i, &f)| {
-                tx_model[i]
-                    + ripple_db(0x5EED ^ tx.unit_seed, f, 1.0, 2)
-                    + tx.case_response_db(f)
-                    + rx_model[i]
-                    + ripple_db(0x31C ^ rx.unit_seed, f, 0.8, 2)
-                    + rx.case_response_db(f)
+                tx_model[i] + tx_unit.db(f) + tx_case(f) + rx_model[i] + rx_unit.db(f) + rx_case(f)
             })
             .collect()
     }
@@ -215,94 +219,62 @@ impl Device {
 /// Model-level (unit-independent) part of the speaker response.
 fn model_tx_db(model: DeviceModel, freq_hz: f64) -> f64 {
     model.source_level_db()
-        + ripple_db(model.seed() ^ 0xA5A5, freq_hz, 9.0, 3)
+        + Ripple::new(model.seed() ^ 0xA5A5, 9.0, 3).db(freq_hz)
         + notches_db(model.seed() ^ 0x11, freq_hz, 2)
         + shared_rolloff_db(freq_hz)
 }
 
 /// Model-level (unit-independent) part of the microphone response.
 fn model_rx_db(model: DeviceModel, freq_hz: f64) -> f64 {
-    ripple_db(model.seed() ^ 0xC3C3, freq_hz, 4.0, 2)
+    Ripple::new(model.seed() ^ 0xC3C3, 4.0, 2).db(freq_hz)
         + notches_db(model.seed() ^ 0x22, freq_hz, 1)
         + shared_rolloff_db(freq_hz) * 0.5
 }
 
-/// Cached model-level response over a frequency grid, keyed by the grid's
-/// exact bit content (FNV over the raw `f64` bits — no aliasing).
-fn model_grid(model: DeviceModel, is_tx: bool, freqs: &[f64]) -> std::rc::Rc<[f64]> {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::rc::Rc;
-    thread_local! {
-        #[allow(clippy::type_complexity)]
-        static CACHE: RefCell<HashMap<(DeviceModel, bool, u64, usize), Rc<[f64]>>> =
-            RefCell::new(HashMap::new());
-    }
+/// Model-level response over a frequency grid, built once per process
+/// and keyed by the grid's exact bit content (FNV over the raw `f64` bits
+/// — no aliasing).
+fn model_grid(model: DeviceModel, is_tx: bool, freqs: &[f64]) -> std::sync::Arc<Vec<f64>> {
+    static GRIDS: Memo<(DeviceModel, bool, u64, usize), Vec<f64>> = Memo::new();
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
     for &f in freqs {
         fp = (fp ^ f.to_bits()).wrapping_mul(0x0000_0100_0000_01B3);
     }
-    CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry((model, is_tx, fp, freqs.len()))
-            .or_insert_with(|| {
-                freqs
-                    .iter()
-                    .map(|&f| {
-                        if is_tx {
-                            model_tx_db(model, f)
-                        } else {
-                            model_rx_db(model, f)
-                        }
-                    })
-                    .collect()
-            })
-            .clone()
-    })
-}
-
-/// Seeded ripple phases for [`ripple_db`], one per octave. The phases are
-/// a pure function of `(seed, octaves)` but were re-derived — a fresh
-/// `StdRng` per call — for *every frequency bin* of the FIR-design sweep;
-/// caching them per thread removes that cost from link construction while
-/// producing bit-identical ripple values (same draws, same arithmetic).
-fn ripple_phases(seed: u64, octaves: usize) -> std::rc::Rc<[f64]> {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::rc::Rc;
-    type Phases = HashMap<(u64, usize), Rc<[f64]>>;
-    thread_local! {
-        static CACHE: RefCell<Phases> = RefCell::new(HashMap::new());
-    }
-    CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry((seed, octaves))
-            .or_insert_with(|| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                (0..=octaves)
-                    .map(|_| rng.gen_range(0.0..std::f64::consts::TAU))
-                    .collect()
-            })
-            .clone()
+    let model_db = if is_tx { model_tx_db } else { model_rx_db };
+    GRIDS.get((model, is_tx, fp, freqs.len()), || {
+        freqs.iter().map(|&f| model_db(model, f)).collect()
     })
 }
 
 /// Smooth pseudo-random ripple in dB: a sum of `octaves+1` cosines in
-/// log-frequency with seeded phases, amplitude `amp_db` peak.
-fn ripple_db(seed: u64, freq_hz: f64, amp_db: f64, octaves: usize) -> f64 {
-    let phases = ripple_phases(seed, octaves);
-    let logf = freq_hz.max(20.0).log2();
-    let mut acc = 0.0;
-    for (o, &phase) in phases.iter().enumerate() {
-        let cycles_per_decade = 0.8 + 0.9 * o as f64; // slow → fast ripple
-        let weight = 1.0 / (1.0 + o as f64);
-        acc += weight * (cycles_per_decade * logf * std::f64::consts::TAU / 3.32 + phase).cos();
+/// log-frequency with seeded phases (drawn once, by [`Ripple::new`]),
+/// amplitude `amp_db` peak.
+struct Ripple {
+    phases: Vec<f64>,
+    amp_db: f64,
+}
+
+impl Ripple {
+    fn new(seed: u64, amp_db: f64, octaves: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let phases = (0..=octaves)
+            .map(|_| rng.gen_range(0.0..std::f64::consts::TAU))
+            .collect();
+        Self { phases, amp_db }
     }
-    // normalize: sum of weights
-    let norm: f64 = (0..=octaves).map(|o| 1.0 / (1.0 + o as f64)).sum();
-    amp_db * acc / norm
+
+    fn db(&self, freq_hz: f64) -> f64 {
+        let logf = freq_hz.max(20.0).log2();
+        let mut acc = 0.0;
+        for (o, &phase) in self.phases.iter().enumerate() {
+            let cycles_per_decade = 0.8 + 0.9 * o as f64; // slow → fast ripple
+            let weight = 1.0 / (1.0 + o as f64);
+            acc += weight * (cycles_per_decade * logf * std::f64::consts::TAU / 3.32 + phase).cos();
+        }
+        // normalize: sum of weights
+        let norm: f64 = (0..self.phases.len()).map(|o| 1.0 / (1.0 + o as f64)).sum();
+        self.amp_db * acc / norm
+    }
 }
 
 /// Model-specific notches: seeded center frequencies in 0.8–4.5 kHz with
@@ -396,7 +368,7 @@ mod tests {
         let hard = Device::new(DeviceModel::GalaxyS9, CaseKind::HardCase, 1);
         let freqs: Vec<f64> = (10..40).map(|k| k as f64 * 100.0).collect();
         let mean = |d: &Device| -> f64 {
-            freqs.iter().map(|&f| d.case_response_db(f)).sum::<f64>() / freqs.len() as f64
+            freqs.iter().map(|&f| d.case_response_db()(f)).sum::<f64>() / freqs.len() as f64
         };
         assert!(mean(&hard) < mean(&soft) - 4.0);
     }
@@ -409,13 +381,13 @@ mod tests {
         let without = Device::default_rig(5);
         let freqs: Vec<f64> = (100..400).map(|k| k as f64 * 10.0).collect();
         let mean = |d: &Device| -> f64 {
-            freqs.iter().map(|&f| d.case_response_db(f)).sum::<f64>() / freqs.len() as f64
+            freqs.iter().map(|&f| d.case_response_db()(f)).sum::<f64>() / freqs.len() as f64
         };
         assert!((mean(&with_air) - mean(&without)).abs() < 1.0);
         // but pointwise the curves differ
         let max_diff = freqs
             .iter()
-            .map(|&f| (with_air.case_response_db(f) - without.case_response_db(f)).abs())
+            .map(|&f| (with_air.case_response_db()(f) - without.case_response_db()(f)).abs())
             .fold(0.0, f64::max);
         assert!(max_diff > 2.0);
     }

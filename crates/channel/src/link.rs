@@ -19,6 +19,7 @@ use crate::geometry::{eigenrays_into, Eigenray, Pos};
 use crate::mobility::Trajectory;
 use crate::noise::NoiseGenerator;
 use aqua_dsp::fir::PlannedConvolver;
+use aqua_dsp::memo::Memo;
 use aqua_dsp::polyphase::PolyphaseKernel;
 
 /// Default sample rate of the modem and simulator (48 kHz, §2.3.1).
@@ -497,26 +498,15 @@ fn add_fractional_tap(fir: &mut [f64], pos: f64, amp: f64) {
 ///
 /// The design is a pure function of the two devices, the sample rate and
 /// the tap count, and a trial constructs two links per packet — so the
-/// result is memoized per thread under a bit-exact key (like the static
-/// multipath FIR, DESIGN.md §9): re-running with unchanged inputs (e.g.
-/// the per-bitrate link rebuilds of `fig12d`, or repeated benches) skips
-/// the 2049-bin response sweep and the inverse transform entirely.
+/// result is memoized once per process under a bit-exact key (like the
+/// static multipath FIR, DESIGN.md §9): re-running with unchanged inputs
+/// (e.g. the per-bitrate link rebuilds of `fig12d`, repeated benches, or a
+/// pool worker that starts mid-series) skips the 1025-bin response sweep
+/// and the inverse transform entirely.
 pub fn design_device_fir(tx: &Device, rx: &Device, fs: f64, taps: usize) -> Vec<f64> {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::rc::Rc;
-    type DeviceFirKey = (Device, Device, u64, usize);
-    thread_local! {
-        static CACHE: RefCell<HashMap<DeviceFirKey, Rc<Vec<f64>>>> = RefCell::new(HashMap::new());
-    }
-    CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry((*tx, *rx, fs.to_bits(), taps))
-            .or_insert_with(|| Rc::new(design_device_fir_uncached(tx, rx, fs, taps)))
-            .as_ref()
-            .clone()
-    })
+    static FIRS: Memo<(Device, Device, u64, usize), Vec<f64>> = Memo::new();
+    let key = (*tx, *rx, fs.to_bits(), taps);
+    Vec::clone(&FIRS.get(key, || design_device_fir_uncached(tx, rx, fs, taps)))
 }
 
 /// The uncached FIR design behind [`design_device_fir`].
@@ -527,7 +517,7 @@ fn design_device_fir_uncached(tx: &Device, rx: &Device, fs: f64, taps: usize) ->
     let plan = real_planner(n);
     // The sampled magnitude response is real and even — exactly a
     // Hermitian half-spectrum, so the mirror half is never materialized.
-    // The grid sweep caches the model-level response per thread.
+    // The grid sweep shares the model-level response across the process.
     let freqs: Vec<f64> = (0..=n / 2)
         .map(|k| (k as f64 * fs / n as f64).max(10.0))
         .collect();

@@ -19,8 +19,10 @@ use aqua_channel::device::Device;
 use aqua_channel::environments::Environment;
 use aqua_channel::link::{Link, LinkConfig, SAMPLE_RATE};
 use aqua_channel::mobility::Trajectory;
+use aqua_channel::noise::NoiseGenerator;
 use aqua_coding::bits::bit_error_rate;
 use aqua_coding::conv::{encode as conv_encode, Rate};
+use aqua_dsp::memo::Memo;
 use aqua_phy::bandselect::{best_single_bin, select_band, Band, BandSelectConfig};
 use aqua_phy::chanest::{estimate, ChannelEstimate};
 use aqua_phy::feedback::{decode_feedback_whitened, decode_tone, encode_feedback, noise_bin_power};
@@ -175,19 +177,14 @@ const CALIBRATION_SEED: u64 = 0xCA11_B007;
 ///
 /// One calibration serves the whole dive, so it is a pure function of the
 /// site's noise profile (fixed seed, not the per-packet noise stream) and
-/// is cached per thread keyed on the profile — every trial of an
+/// is built once per process keyed on the profile — every trial of an
 /// environment sees the identical floor no matter which worker computes
 /// it first, preserving the engine's parallel ≡ serial contract.
 fn calibrated_noise_floor(
     params: &aqua_phy::params::OfdmParams,
     env: &Environment,
-) -> std::rc::Rc<Vec<f64>> {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::rc::Rc;
-    thread_local! {
-        static CACHE: RefCell<HashMap<Vec<u64>, Rc<Vec<f64>>>> = RefCell::new(HashMap::new());
-    }
+) -> std::sync::Arc<Vec<f64>> {
+    static FLOORS: Memo<Vec<u64>, Vec<f64>> = Memo::new();
     // Exact-bit profile fingerprint (+ the numerology's bin layout —
     // `noise_bin_power` reports the `num_bins` bins from `first_bin`, so
     // both are part of what the floor measures).
@@ -202,20 +199,10 @@ fn calibrated_noise_floor(
         key.push(f.to_bits());
         key.push(db.to_bits());
     }
-    CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry(key)
-            .or_insert_with(|| {
-                let mut cal = aqua_channel::noise::NoiseGenerator::new(
-                    env.noise.clone(),
-                    SAMPLE_RATE,
-                    CALIBRATION_SEED,
-                );
-                let ambient = front_end(&cal.generate(8 * params.n_fft));
-                Rc::new(noise_bin_power(params, &ambient))
-            })
-            .clone()
+    FLOORS.get(key, || {
+        let mut cal = NoiseGenerator::new(env.noise.clone(), SAMPLE_RATE, CALIBRATION_SEED);
+        let ambient = front_end(&cal.generate(8 * params.n_fft));
+        noise_bin_power(params, &ambient)
     })
 }
 

@@ -36,23 +36,22 @@
 //! hold bins `0..=N/2` of the same unnormalized transform.
 
 use crate::complex::{Complex, ZERO};
+use crate::memo::Memo;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Largest prime factor handled directly by the mixed-radix butterflies.
 /// Above this we switch to Bluestein's algorithm.
 const MAX_DIRECT_PRIME: usize = 31;
 
-/// A planned FFT for a fixed size. Create via [`Fft::new`]; reuse for many
-/// transforms of the same length.
+/// A planned FFT for a fixed size. Create via [`Fft::new`] or [`planner`];
+/// reuse for many transforms of the same length. A plan is immutable, so
+/// one plan serves every thread at once.
 pub struct Fft {
     len: usize,
     /// Stockham passes applied in order (pairs of 2s fused into 4s), empty
     /// for `len == 1` and for Bluestein sizes.
     passes: Vec<Pass>,
-    /// Ping-pong buffer for the Stockham passes (lazily sized).
-    scratch: RefCell<Vec<Complex>>,
     /// Bluestein state when `len` has a prime factor above `MAX_DIRECT_PRIME`.
     bluestein: Option<Box<Bluestein>>,
 }
@@ -144,7 +143,6 @@ impl Fft {
         Self {
             len,
             passes,
-            scratch: RefCell::new(Vec::new()),
             bluestein,
         }
     }
@@ -169,24 +167,28 @@ impl Fft {
         if self.len == 1 {
             return;
         }
-        let mut scratch = self.scratch.borrow_mut();
-        if scratch.len() != self.len {
-            scratch.resize(self.len, ZERO);
+        // The thread's buffer only grows: every pass writes all of the
+        // `len` entries it later reads.
+        let mut buf = SCRATCH.take();
+        if buf.len() < self.len {
+            buf.resize(self.len, ZERO);
         }
+        let scratch = &mut buf[..self.len];
         // Stockham autosort: each pass reads one buffer and writes the
         // other with the next decimation already in place.
         let mut in_data = true;
         for pass in &self.passes {
             if in_data {
-                pass.run(data, &mut scratch);
+                pass.run(data, scratch);
             } else {
-                pass.run(&scratch, data);
+                pass.run(scratch, data);
             }
             in_data = !in_data;
         }
         if !in_data {
-            data.copy_from_slice(&scratch);
+            data.copy_from_slice(scratch);
         }
+        SCRATCH.set(buf);
     }
 
     /// Inverse DFT with `1/N` normalization.
@@ -420,7 +422,8 @@ impl Bluestein {
 /// A planned FFT for **real-valued** signals of a fixed (even) length N:
 /// forward via one N/2-point complex FFT plus untangling, inverse from a
 /// Hermitian half-spectrum by the reverse construction. Odd lengths fall
-/// back to the complex plan internally, so every length works.
+/// back to the complex plan internally, so every length works. Like
+/// [`Fft`], a plan is immutable and serves every thread at once.
 ///
 /// The half-spectrum convention is bins `0..=N/2` of the unnormalized
 /// DFT; the remaining bins of a real signal's spectrum are the mirror
@@ -428,13 +431,11 @@ impl Bluestein {
 pub struct RealFft {
     len: usize,
     /// Half-size complex plan (even lengths).
-    half: Option<Rc<Fft>>,
+    half: Option<Arc<Fft>>,
     /// Full-size complex fallback (odd lengths).
-    full: Option<Rc<Fft>>,
+    full: Option<Arc<Fft>>,
     /// Untangling twiddles `e^{-2πi k/len}` for `k < len/2`.
     w: Vec<Complex>,
-    /// Packed-pair scratch for the `*_into` paths (lazily sized).
-    pack: RefCell<Vec<Complex>>,
 }
 
 impl RealFft {
@@ -450,7 +451,6 @@ impl RealFft {
                 w: (0..m)
                     .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / len as f64))
                     .collect(),
-                pack: RefCell::new(Vec::new()),
             }
         } else {
             Self {
@@ -458,7 +458,6 @@ impl RealFft {
                 half: None,
                 full: Some(planner(len)),
                 w: Vec::new(),
-                pack: RefCell::new(Vec::new()),
             }
         }
     }
@@ -500,7 +499,7 @@ impl RealFft {
             return;
         };
         // Pack adjacent samples into complex pairs: z[n] = x[2n] + i·x[2n+1].
-        let mut z = self.pack.borrow_mut();
+        let mut z = PACK.take();
         z.clear();
         z.extend(
             signal
@@ -525,6 +524,7 @@ impl RealFft {
             },
         ));
         out.push(Complex::real(z[0].re - z[0].im));
+        PACK.set(z);
     }
 
     /// Forward DFT of a real signal, returning the full `len`-bin spectrum
@@ -564,7 +564,7 @@ impl RealFft {
         // Reverse the untangling: Z[k] = E[k] + i·O[k] with
         // E[k] = (X[k]+conj(X[M−k]))/2, O[k] = (X[k]−conj(X[M−k]))·w̄^k/2.
         // Bins 0..M pair X[..M] with the reverse of X[1..].
-        let mut z = self.pack.borrow_mut();
+        let mut z = PACK.take();
         z.clear();
         let m = self.len / 2;
         let (lower, upper) = (&half_spec[..m], &half_spec[1..]);
@@ -588,6 +588,7 @@ impl RealFft {
             pair[0] = c.re;
             pair[1] = c.im;
         }
+        PACK.set(z);
     }
 }
 
@@ -625,31 +626,24 @@ fn factorize(mut n: usize) -> Vec<usize> {
     factors
 }
 
+// One thread's FFT workspace: the Stockham ping-pong buffer and `RealFft`'s
+// packed pairs, the only mutable state of a transform, so plans are shared.
 thread_local! {
-    static PLAN_CACHE: RefCell<HashMap<usize, Rc<Fft>>> = RefCell::new(HashMap::new());
-    static REAL_PLAN_CACHE: RefCell<HashMap<usize, Rc<RealFft>>> = RefCell::new(HashMap::new());
+    static SCRATCH: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
+    static PACK: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Returns a cached FFT plan for `len` (plans are cached per thread).
-pub fn planner(len: usize) -> Rc<Fft> {
-    PLAN_CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry(len)
-            .or_insert_with(|| Rc::new(Fft::new(len)))
-            .clone()
-    })
+static PLANS: Memo<usize, Fft> = Memo::new();
+static REAL_PLANS: Memo<usize, RealFft> = Memo::new();
+
+/// The process-wide FFT plan for `len`, built on first use.
+pub fn planner(len: usize) -> Arc<Fft> {
+    PLANS.get(len, || Fft::new(len))
 }
 
-/// Returns a cached real-FFT plan for `len` (cached per thread).
-pub fn real_planner(len: usize) -> Rc<RealFft> {
-    REAL_PLAN_CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry(len)
-            .or_insert_with(|| Rc::new(RealFft::new(len)))
-            .clone()
-    })
+/// The process-wide real-FFT plan for `len`, built on first use.
+pub fn real_planner(len: usize) -> Arc<RealFft> {
+    REAL_PLANS.get(len, || RealFft::new(len))
 }
 
 /// Convenience: forward FFT of a real signal, returning the full complex
@@ -834,10 +828,14 @@ mod tests {
     fn planner_reuses_plans() {
         let a = planner(960);
         let b = planner(960);
-        assert!(Rc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &b));
         let ra = real_planner(960);
         let rb = real_planner(960);
-        assert!(Rc::ptr_eq(&ra, &rb));
+        assert!(Arc::ptr_eq(&ra, &rb));
+        // Plans are process-wide: another thread gets the same ones.
+        let other = std::thread::spawn(|| (planner(960), real_planner(960)));
+        let (c, rc) = other.join().unwrap();
+        assert!(Arc::ptr_eq(&a, &c) && Arc::ptr_eq(&ra, &rc));
     }
 
     #[test]

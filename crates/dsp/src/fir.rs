@@ -144,7 +144,7 @@ pub fn filter_same(x: &[f64], h: &[f64]) -> Vec<f64> {
 /// paid several times per trial.
 ///
 /// Every result is **bit-identical** to the unplanned free functions: the
-/// same `RealFft` plan (shared through the thread-local planner cache)
+/// same `RealFft` plan (one per length and process, from `real_planner`)
 /// runs the same arithmetic on the same values — only the redundant
 /// recomputation and allocation are gone. The equivalence is pinned by
 /// `dsp/tests/properties.rs`.

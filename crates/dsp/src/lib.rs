@@ -26,6 +26,8 @@
 //!   ramp evaluators — the hot-path engine behind the moving-channel
 //!   renderer and resampler, property-tested against [`resample`]'s exact
 //!   interpolator.
+//! - [`memo`]: process-wide memoization of pure functions (FFT plans and
+//!   the channel's device and calibration tables), shared by every thread.
 //! - [`linalg`]: Levinson–Durbin Toeplitz solver (the MMSE equalizer's
 //!   normal equations).
 //! - [`spectrum`]: Welch PSD and STFT (Figs. 3/4/9).
@@ -42,6 +44,7 @@ pub mod fft;
 pub mod fir;
 pub mod goertzel;
 pub mod linalg;
+pub mod memo;
 pub mod polyphase;
 pub mod resample;
 pub mod spectrum;

@@ -28,7 +28,7 @@
 use crate::complex::Complex;
 use crate::fft::{real_planner, RealFft};
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Streaming overlap-save FFT cross-correlator for a fixed template.
 ///
@@ -47,7 +47,7 @@ pub struct OverlapSaveCorrelator {
     /// Half-size real-FFT plan: signal and template are both real, so
     /// each block costs one half-spectrum forward, a pointwise product
     /// over `B/2 + 1` bins, and one Hermitian inverse.
-    plan: Rc<RealFft>,
+    plan: Arc<RealFft>,
     /// Half-spectrum of the reversed, zero-padded template (computed once).
     template_fd: Vec<Complex>,
     /// Block time-domain / spectrum scratch, reused across blocks.

@@ -5,11 +5,11 @@
 //! detections. The engine runs those fan-outs on an [`aqua_par::Pool`]
 //! with a contract the recorded results depend on (DESIGN.md §8):
 //!
-//! **Determinism.** Each item derives everything random from its own seed
-//! and the FFT plan caches are per-thread, so item results are pure
-//! functions of `(config, seed)`. `par_map` preserves input order, which
-//! makes every parallel experiment **bit-identical** to its serial run —
-//! parallelism decides wall-clock, never results. The regression test
+//! **Determinism.** Each item derives everything random from its own seed,
+//! and every shared plan or table is a pure function of its key, so item
+//! results are pure functions of `(config, seed)`. `par_map` preserves
+//! input order, so every parallel experiment is **bit-identical** to its
+//! serial run — parallelism decides wall-clock, never results. The test
 //! `eval/tests/determinism.rs` compares a full `fig9`-style series field
 //! by field.
 //!

@@ -47,7 +47,7 @@ impl Equalizer {
     /// implementation copied the packet a second time building the
     /// trimmed output. An equalizer is designed fresh per packet, so
     /// there is no cross-call filter spectrum worth caching here; the
-    /// FFT plans themselves come from the thread-local planner cache.
+    /// FFT plans themselves are the process-wide ones from the planner.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
         let mut full = convolve_auto(x, &self.taps);
         if self.delay < full.len() {
