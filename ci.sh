@@ -88,13 +88,20 @@ echo "$BENCH_OUT"
 # loaded 1-core container (typical min here: ~20-21 ms = ~190 trials/s).
 check_budget min "trials_per_second" 24.2
 
-echo "==> FFT: pinned transform bits"
+echo "==> FFT: pinned transform bits + shared plans"
 # fft_pinned hashes (floats by bit pattern) the outputs of the complex
 # and real FFTs, both convolution paths and the noise generator on fixed
 # inputs, at lengths covering every Stockham pass kind, Bluestein and the
 # renderer's block sizes. Every layer that renders, filters, detects or
 # demodulates sits on these bits.
 cargo test -q -p aqua-dsp --release --test fft_pinned
+# Plans are immutable and every thread reads them from one process-wide
+# memo: racing readers get one Arc, a make may read the memo it fills, a
+# panicking make leaves it usable, a spawned thread gets the caller's
+# plans, and two threads transforming through one plan at once match a
+# fresh plan bit for bit.
+cargo test -q -p aqua-dsp --release --test memo
+cargo test -q -p aqua-dsp --release --lib -- fft::tests::planner_reuses_plans
 
 echo "==> ocean simulator: oracle equivalence + parallel determinism + stream pins"
 # The PR 6 contracts, run in release where the proptest case count is
@@ -217,7 +224,7 @@ if [ "$ELAPSED" -gt 60 ]; then
 fi
 echo "throughput-smoke ok: repro all quick in ${ELAPSED}s (budget 60 s)"
 
-echo "==> scaling gate: relay and recovery standard at 1 and 2 workers"
+echo "==> scaling gate: relay, recovery and fig9 standard at 1 and 2 workers"
 # The relay tier flushes one or two receptions through the pool before
 # every transmission decision. When every pool call spawned its workers,
 # 2 workers ran relay ~3.2x and recovery ~3.6x slower than 1 on 2 vCPUs;
@@ -244,5 +251,9 @@ scaling_gate() {
 }
 scaling_gate relay
 scaling_gate recovery
+# fig9 runs on the link tier, whose workers read the FFT plans, device
+# FIRs and noise floors from one process-wide memo: 2.2-2.7 s on 1 worker
+# and 1.1-1.3 s on 2 (2 vCPUs), with the same table.
+scaling_gate fig9
 
 echo "CI green."

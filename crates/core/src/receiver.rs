@@ -115,8 +115,18 @@ impl StreamingReceiver {
     }
 
     /// Feeds one audio block; returns any events it produced.
+    ///
+    /// Outside audio can hold NaN or ±inf (a glitching driver, a corrupt
+    /// file). One such sample would make every later output of the
+    /// front-end filter and the detector non-finite and lose every packet
+    /// after it, so non-finite samples are silenced (replaced with 0.0)
+    /// before the front end.
     pub fn push(&mut self, block: &[f64]) -> Vec<RxEvent> {
-        let filtered = self.front_end.process(block);
+        let block: Vec<f64> = block
+            .iter()
+            .map(|&x| if x.is_finite() { x } else { 0.0 })
+            .collect();
+        let filtered = self.front_end.process(&block);
         self.detections.extend(self.detector.push(&filtered));
         // the feedback protocol gives us only the inter-frame gap to
         // answer, so bound detection latency to one symbol core

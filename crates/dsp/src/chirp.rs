@@ -47,7 +47,7 @@ pub fn apply_ramp(signal: &mut [f64], ramp: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::fft_real;
+    use crate::fft::real_planner;
 
     #[test]
     fn chirp_length_matches_duration() {
@@ -59,8 +59,8 @@ mod tests {
     fn chirp_energy_spreads_over_swept_band() {
         let fs = 48000.0;
         let c = linear_chirp(1000.0, 5000.0, 0.5, fs);
-        let spec = fft_real(&c);
-        let n = spec.len() as f64;
+        let spec = real_planner(c.len()).forward_half(&c);
+        let n = c.len() as f64;
         let power = |lo: f64, hi: f64| -> f64 {
             let k0 = (lo / fs * n) as usize;
             let k1 = (hi / fs * n) as usize;
@@ -78,7 +78,7 @@ mod tests {
         let fs = 48000.0;
         let n = 960;
         let t = tone(2000.0, n, fs); // bin 40 at 50 Hz spacing
-        let spec = fft_real(&t);
+        let spec = real_planner(n).forward_half(&t);
         let k = 2000.0 / fs * n as f64;
         let peak = spec[k as usize].abs();
         let other = spec[10].abs();

@@ -527,12 +527,6 @@ impl RealFft {
         PACK.set(z);
     }
 
-    /// Forward DFT of a real signal, returning the full `len`-bin spectrum
-    /// (half-spectrum plus its Hermitian mirror).
-    fn forward_full(&self, signal: &[f64]) -> Vec<Complex> {
-        extend_hermitian(&self.forward_half(signal), self.len)
-    }
-
     /// Inverse DFT (normalized by `1/len`) of a Hermitian half-spectrum
     /// (`len/2 + 1` bins; bins 0 and `len/2` must be real up to rounding),
     /// returning the real signal. Exact inverse of
@@ -563,7 +557,10 @@ impl RealFft {
         };
         // Reverse the untangling: Z[k] = E[k] + i·O[k] with
         // E[k] = (X[k]+conj(X[M−k]))/2, O[k] = (X[k]−conj(X[M−k]))·w̄^k/2.
-        // Bins 0..M pair X[..M] with the reverse of X[1..].
+        // Bins 0..M pair X[..M] with the reverse of X[1..]. The inverse of
+        // Z is conj(forward(conj(Z)))/M: this loop stores conj(Z[k]) and the
+        // unpack loop conjugates and scales, the exact operations of
+        // `Fft::inverse`'s two sweeps folded into these loops.
         let mut z = PACK.take();
         z.clear();
         let m = self.len / 2;
@@ -577,14 +574,16 @@ impl RealFft {
                     let xc = xr.conj();
                     let even = (xk + xc).scale(0.5);
                     let odd = ((xk - xc) * w.conj()).scale(0.5);
-                    add_i(even, odd)
+                    add_i(even, odd).conj()
                 }),
         );
-        half.inverse(&mut z);
+        half.forward(&mut z);
         // Unpack: x[2n] = Re z[n], x[2n+1] = Im z[n].
+        let scale = 1.0 / m as f64;
         out.clear();
         out.resize(self.len, 0.0);
         for (pair, c) in out.chunks_exact_mut(2).zip(z.iter()) {
+            let c = c.conj().scale(scale);
             pair[0] = c.re;
             pair[1] = c.im;
         }
@@ -644,30 +643,6 @@ pub fn planner(len: usize) -> Arc<Fft> {
 /// The process-wide real-FFT plan for `len`, built on first use.
 pub fn real_planner(len: usize) -> Arc<RealFft> {
     REAL_PLANS.get(len, || RealFft::new(len))
-}
-
-/// Convenience: forward FFT of a real signal, returning the full complex
-/// spectrum of length `signal.len()` (computed on the half-size real path).
-pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
-    real_planner(signal.len()).forward_full(signal)
-}
-
-/// Inverse FFT returning only the real parts — used to synthesize real
-/// OFDM waveforms from Hermitian-symmetric spectra (or to take the real
-/// projection of an analytic synthesis).
-///
-/// Runs on the half-size real path: the real part of the inverse DFT
-/// equals the inverse of the spectrum's Hermitian part
-/// `(X[k] + conj(X[N−k]))/2`, which is symmetrized here and handed to
-/// [`RealFft::inverse_half`] — for already-Hermitian inputs the
-/// symmetrization is the identity.
-pub fn ifft_real(spectrum: &[Complex]) -> Vec<f64> {
-    let n = spectrum.len();
-    let plan = real_planner(n);
-    let half: Vec<Complex> = (0..n / 2 + 1)
-        .map(|k| (spectrum[k] + spectrum[(n - k) % n].conj()).scale(0.5))
-        .collect();
-    plan.inverse_half(&half)
 }
 
 #[cfg(test)]
@@ -838,18 +813,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &c) && Arc::ptr_eq(&ra, &rc));
     }
 
-    #[test]
-    fn fft_real_of_cosine_has_symmetric_peaks() {
-        let n = 480;
-        let k0 = 10;
-        let signal: Vec<f64> = (0..n)
-            .map(|j| (2.0 * std::f64::consts::PI * (k0 * j) as f64 / n as f64).cos())
-            .collect();
-        let spec = fft_real(&signal);
-        assert!((spec[k0].abs() - n as f64 / 2.0).abs() < 1e-6);
-        assert!((spec[n - k0].abs() - n as f64 / 2.0).abs() < 1e-6);
-    }
-
     /// The complex-path oracle the real fast path must match.
     fn fft_real_oracle(signal: &[f64]) -> Vec<Complex> {
         let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
@@ -858,12 +821,29 @@ mod tests {
     }
 
     #[test]
+    fn fft_real_of_cosine_has_symmetric_peaks() {
+        let n = 480;
+        let k0 = 10;
+        let signal: Vec<f64> = (0..n)
+            .map(|j| (2.0 * std::f64::consts::PI * (k0 * j) as f64 / n as f64).cos())
+            .collect();
+        let half = RealFft::new(n).forward_half(&signal);
+        let full = fft_real_oracle(&signal);
+        assert!(max_err(&half, &full[..=n / 2]) < 1e-9);
+        assert!((half[k0].abs() - n as f64 / 2.0).abs() < 1e-6);
+        assert!((full[n - k0].abs() - n as f64 / 2.0).abs() < 1e-6);
+    }
+
+    #[test]
     fn real_forward_matches_complex_oracle() {
         for &n in &[2usize, 4, 6, 10, 16, 37, 63, 960, 1024, 4800] {
             let x: Vec<f64> = rand_signal(n, 11 + n as u64).iter().map(|c| c.re).collect();
-            let fast = fft_real(&x);
+            let fast = RealFft::new(n).forward_half(&x);
             let want = fft_real_oracle(&x);
-            assert!(max_err(&fast, &want) < 1e-9 * n as f64, "size {n}");
+            assert!(
+                max_err(&fast, &want[..=n / 2]) < 1e-9 * n as f64,
+                "size {n}"
+            );
         }
     }
 
@@ -881,20 +861,6 @@ mod tests {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
             assert!(err < 1e-10, "size {n}: err {err}");
-        }
-    }
-
-    #[test]
-    fn ifft_real_takes_real_projection_of_non_hermitian_spectra() {
-        // The documented contract: Re(IDFT(X)) for arbitrary X, matching
-        // the complex path bit-for-nearly-bit.
-        let n = 96;
-        let spec = rand_signal(n, 99);
-        let fast = ifft_real(&spec);
-        let mut buf = spec.clone();
-        planner(n).inverse(&mut buf);
-        for (a, c) in fast.iter().zip(&buf) {
-            assert!((a - c.re).abs() < 1e-12);
         }
     }
 }

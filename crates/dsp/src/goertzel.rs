@@ -121,7 +121,7 @@ impl SlidingGoertzel {
 mod tests {
     use super::*;
     use crate::chirp::tone;
-    use crate::fft::fft_real;
+    use crate::fft::real_planner;
 
     #[test]
     fn goertzel_matches_fft_bin() {
@@ -134,7 +134,7 @@ mod tests {
                     + 0.5 * (2.0 * std::f64::consts::PI * 3000.0 * t).cos()
             })
             .collect();
-        let spec = fft_real(&sig);
+        let spec = real_planner(n).forward_half(&sig);
         for &freq in &[2000.0, 3000.0, 1500.0] {
             let bin = (freq / fs * n as f64).round() as usize;
             let g = goertzel(&sig, freq, fs);
@@ -175,7 +175,7 @@ mod tests {
                 continue;
             };
             assert_eq!(start, i + 1 - n);
-            let spec = fft_real(&sig[start..start + n]);
+            let spec = real_planner(n).forward_half(&sig[start..start + n]);
             for (j, &k) in bins.iter().enumerate() {
                 let d = (bank.values()[j] - spec[k]).abs();
                 assert!(d < 1e-9, "pos {start} bin {k}: err {d}");

@@ -2,7 +2,7 @@
 
 use aqua_dsp::complex::Complex;
 use aqua_dsp::correlate::{xcorr_valid, xcorr_valid_fft};
-use aqua_dsp::fft::{fft_real, ifft_real, planner, Fft, RealFft};
+use aqua_dsp::fft::{planner, Fft, RealFft};
 use aqua_dsp::fir::{convolve, fft_convolve, PlannedConvolver};
 use aqua_dsp::goertzel::goertzel;
 use aqua_dsp::stats::{percentile, qfunc};
@@ -11,6 +11,14 @@ use proptest::prelude::*;
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1.0f64..1.0, 1..max_len)
+}
+
+/// The full spectrum of a real signal by the complex FFT: the oracle the
+/// half-spectrum real path must match on bins `0..=n/2`.
+fn complex_oracle(x: &[f64]) -> Vec<Complex> {
+    let mut spec: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
+    planner(x.len()).forward(&mut spec);
+    spec
 }
 
 proptest! {
@@ -39,23 +47,34 @@ proptest! {
         }
     }
 
-    /// Parseval: time-domain and frequency-domain energies agree.
+    /// Parseval: time-domain and frequency-domain energies agree. On the
+    /// half spectrum every bin but 0 and n/2 also stands for its mirror.
     #[test]
     fn fft_parseval(x in signal_strategy(256)) {
-        let spec = fft_real(&x);
+        let n = x.len();
+        let spec = RealFft::new(n).forward_half(&x);
         let et: f64 = x.iter().map(|v| v * v).sum();
-        let ef: f64 = spec.iter().map(|c| c.norm_sqr()).sum::<f64>() / x.len() as f64;
+        let mirrored = |k: usize| if k == 0 || 2 * k == n { 1.0 } else { 2.0 };
+        let ef: f64 = spec
+            .iter()
+            .enumerate()
+            .map(|(k, c)| mirrored(k) * c.norm_sqr())
+            .sum::<f64>()
+            / n as f64;
         prop_assert!((et - ef).abs() <= 1e-8 * et.max(1.0));
     }
 
-    /// Real-signal spectra are Hermitian-symmetric.
+    /// Real-signal spectra are Hermitian-symmetric: each half-spectrum bin
+    /// is the conjugate of the full spectrum's mirrored bin.
     #[test]
     fn fft_real_hermitian(x in signal_strategy(128)) {
-        let spec = fft_real(&x);
+        let half = RealFft::new(x.len()).forward_half(&x);
+        let full = complex_oracle(&x);
         let n = x.len();
-        for k in 1..n {
-            let a = spec[k];
-            let b = spec[n - k].conj();
+        prop_assert!(half[0].im.abs() < 1e-8 * n as f64);
+        for k in 1..half.len() {
+            let a = half[k];
+            let b = full[n - k].conj();
             prop_assert!((a - b).abs() < 1e-8 * n as f64);
         }
     }
@@ -126,7 +145,7 @@ proptest! {
         let fs = 48_000.0;
         let freq = bin as f64 * fs / n as f64;
         let g = goertzel(&x, freq, fs);
-        let spec = fft_real(&x);
+        let spec = RealFft::new(n).forward_half(&x);
         prop_assert!((g.abs() - spec[bin].abs()).abs() < 1e-6 * n as f64);
     }
 
@@ -168,31 +187,12 @@ proptest! {
     /// `real_fft_fixed_lengths_match_oracle` below).
     #[test]
     fn real_fft_matches_complex_oracle(x in signal_strategy(300)) {
-        let fast = fft_real(&x);
-        let mut oracle: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
-        planner(x.len()).forward(&mut oracle);
-        prop_assert_eq!(fast.len(), oracle.len());
+        let fast = RealFft::new(x.len()).forward_half(&x);
+        let oracle = complex_oracle(&x);
+        prop_assert_eq!(fast.len(), x.len() / 2 + 1);
         for k in 0..fast.len() {
             prop_assert!((fast[k] - oracle[k]).abs() < 1e-9 * x.len().max(16) as f64,
                 "len {} bin {}", x.len(), k);
-        }
-    }
-
-    /// ifft_real ≡ real parts of the normalized complex inverse, for
-    /// arbitrary (non-Hermitian) spectra.
-    #[test]
-    fn ifft_real_matches_complex_oracle(x in signal_strategy(200), seed in 0u64..1000) {
-        let mut s = seed | 1;
-        let mut rnd = move || {
-            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-            (s as f64 / u64::MAX as f64) - 0.5
-        };
-        let spec: Vec<Complex> = x.iter().map(|&v| Complex::new(v, rnd())).collect();
-        let fast = ifft_real(&spec);
-        let mut oracle = spec.clone();
-        planner(spec.len()).inverse(&mut oracle);
-        for k in 0..fast.len() {
-            prop_assert!((fast[k] - oracle[k].re).abs() < 1e-9, "len {} sample {}", x.len(), k);
         }
     }
 
@@ -222,16 +222,16 @@ fn real_fft_fixed_lengths_match_oracle() {
             (s as f64 / u64::MAX as f64) - 0.5
         };
         let x: Vec<f64> = (0..n).map(|_| rnd()).collect();
-        let fast = fft_real(&x);
-        let mut oracle: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
-        planner(n).forward(&mut oracle);
-        for k in 0..n {
+        let plan = RealFft::new(n);
+        let fast = plan.forward_half(&x);
+        let oracle = complex_oracle(&x);
+        for k in 0..=n / 2 {
             assert!(
                 (fast[k] - oracle[k]).abs() < 1e-9 * n as f64,
                 "forward len {n} bin {k}"
             );
         }
-        let back = ifft_real(&fast);
+        let back = plan.inverse_half(&fast);
         for k in 0..n {
             assert!(
                 (back[k] - x[k]).abs() < 1e-9,

@@ -143,7 +143,7 @@ mod tests {
         let amp = p.bin_amplitude(p.num_bins);
         let values: Vec<Complex> = (0..p.num_bins).map(|_| bpsk(0, amp)).collect();
         let core = synthesize_core(&p, &values);
-        let spec = aqua_dsp::fft::fft_real(&core);
+        let spec = real_planner(p.n_fft).forward_half(&core);
         let in_band: f64 = (p.first_bin..p.first_bin + p.num_bins)
             .map(|k| spec[k].norm_sqr())
             .sum();
