@@ -116,11 +116,11 @@ impl StreamingReceiver {
 
     /// Feeds one audio block; returns any events it produced.
     ///
-    /// Outside audio can hold NaN or ±inf (a glitching driver, a corrupt
-    /// file). One such sample would make every later output of the
-    /// front-end filter and the detector non-finite and lose every packet
-    /// after it, so non-finite samples are silenced (replaced with 0.0)
-    /// before the front end.
+    /// Outside audio can hold NaN or ±inf (a glitching sound card, a
+    /// corrupt file). One such sample would make every later output of
+    /// the front-end filter and the detector non-finite and lose every
+    /// packet after it, so non-finite samples are silenced (replaced with
+    /// 0.0) before the front end.
     pub fn push(&mut self, block: &[f64]) -> Vec<RxEvent> {
         let block: Vec<f64> = block
             .iter()
