@@ -82,9 +82,9 @@ fn bits(x: &[Complex]) -> Vec<(u64, u64)> {
 
 /// Both threads run every transform of one shared plan at once, on their
 /// own inputs, and must match a plan of their own bit for bit. 960 runs
-/// radices 4, 3 and 5, 1031 is Bluestein, 4800 is a real plan whose
-/// half-size plan is itself shared. A barrier starts each round on both
-/// threads together.
+/// radices 4, 3 and 5, 1920 adds a radix-2 pass, 4800 is a real plan
+/// whose half-size plan is itself shared. A barrier starts each round on
+/// both threads together.
 #[test]
 fn two_threads_through_one_shared_plan_match_a_fresh_plan() {
     let barrier = Barrier::new(2);
@@ -94,7 +94,7 @@ fn two_threads_through_one_shared_plan_match_a_fresh_plan() {
             s.spawn(move || {
                 for round in 0..20 {
                     barrier.wait();
-                    for n in [960usize, 1031] {
+                    for n in [960usize, 1920] {
                         let x = signal(n, 100 * t + round + n as u64);
                         let (mut shared, mut fresh) = (x.clone(), x.clone());
                         planner(n).forward(&mut shared);
