@@ -91,10 +91,13 @@ check_budget min "trials_per_second" 24.2
 echo "==> FFT: pinned transform bits + shared plans"
 # fft_pinned hashes (floats by bit pattern) the outputs of the complex
 # and real FFTs, both convolution paths and the noise generator on fixed
-# inputs, at lengths covering every Stockham pass kind, Bluestein and the
-# renderer's block sizes. Every layer that renders, filters, detects or
-# demodulates sits on these bits.
+# inputs, at lengths covering every Stockham pass kind and the renderer's
+# block sizes. Every layer that renders, filters, detects or demodulates
+# sits on these bits.
 cargo test -q -p aqua-dsp --release --test fft_pinned
+# The FFT plans only 5-smooth lengths (2^a·3^b·5^c): any other panics
+# naming the length, and so does an odd real length.
+cargo test -q -p aqua-dsp --release --lib -- fft::tests::rejects_unplannable_lengths
 # Plans are immutable and every thread reads them from one process-wide
 # memo: racing readers get one Arc, a make may read the memo it fills, a
 # panicking make leaves it usable, a spawned thread gets the caller's
@@ -147,6 +150,14 @@ echo "==> fault injection: determinism + block-ACK fuzz + blackout acceptance"
 # through a mid-transfer blackout, adaptive under a permanent blackout.
 cargo test -q -p aqua-channel --release --test fault_determinism
 cargo test -q -p aquapp --release --test ack_fuzz --test bulk_faults --test bulk_pinned
+
+echo "==> hostile audio: the full grid in release"
+# hostile_samples_never_panic_the_receive_path runs its full grid of 6
+# values x 4 places x 2 run widths (48 streams) only without
+# debug_assertions; the debug `cargo test -q` above runs a 12-stream
+# subset. The same file requires NaN and +-inf runs to leave the receiver
+# delivering and both preamble detectors on the preamble. ~1.6 s.
+cargo test -q -p aquapp --release --test hostile_audio
 
 echo "==> DTN relay: frame fuzz + custody props + determinism + pinned + acceptance"
 # PR 9 contracts, run in release where the fuzz case counts and the

@@ -33,7 +33,7 @@ use aqua_phy::params::OfdmParams;
 pub const ACK_TIMEOUT_SYMBOLS: usize = 3;
 
 /// Seconds Alice spends waiting for an ACK that never arrives.
-pub fn ack_timeout_s(params: &OfdmParams) -> f64 {
+fn ack_timeout_s(params: &OfdmParams) -> f64 {
     ACK_TIMEOUT_SYMBOLS as f64 * params.symbol_duration_s()
 }
 
@@ -193,7 +193,7 @@ impl ArqSession {
     /// [`Self::send`] with a fault hook: `ack_lost(attempt)` forces the ACK
     /// tone of that attempt to vanish in the channel — the deterministic
     /// lost-ACK scenario the duplicate-suppression tests pin down.
-    pub fn send_with_ack_faults(
+    fn send_with_ack_faults(
         &mut self,
         base: &TrialConfig,
         max_attempts: usize,

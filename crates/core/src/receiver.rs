@@ -10,6 +10,7 @@
 //! events at each stage.
 
 use aqua_coding::bits::bits_to_value;
+use aqua_dsp::correlate::silence_non_finite;
 use aqua_dsp::fir::{design_bandpass, StreamingFir};
 use aqua_dsp::window::Window;
 use aqua_phy::bandselect::{best_single_bin, select_band, Band, BandSelectConfig};
@@ -116,17 +117,12 @@ impl StreamingReceiver {
 
     /// Feeds one audio block; returns any events it produced.
     ///
-    /// Outside audio can hold NaN or ±inf (a glitching sound card, a
-    /// corrupt file). One such sample would make every later output of
-    /// the front-end filter and the detector non-finite and lose every
-    /// packet after it, so non-finite samples are silenced (replaced with
-    /// 0.0) before the front end.
+    /// NaN and ±inf samples are silenced before the front end
+    /// ([`silence_non_finite`]): one of them would make every later output
+    /// of the front-end filter and the detector non-finite and lose every
+    /// packet after it.
     pub fn push(&mut self, block: &[f64]) -> Vec<RxEvent> {
-        let block: Vec<f64> = block
-            .iter()
-            .map(|&x| if x.is_finite() { x } else { 0.0 })
-            .collect();
-        let filtered = self.front_end.process(&block);
+        let filtered = self.front_end.process(&silence_non_finite(block));
         self.detections.extend(self.detector.push(&filtered));
         // the feedback protocol gives us only the inter-frame gap to
         // answer, so bound detection latency to one symbol core

@@ -119,6 +119,23 @@ fn run_every_stage(f: &Fixture, stream: &[f64], at: usize) {
     }
 }
 
+/// Every stream of the non-finite grid, with its label: a NaN, +inf or
+/// −inf run, 1 or 64 samples wide, at each of the four places.
+fn non_finite_streams(f: &Fixture) -> Vec<(String, Vec<f64>)> {
+    let mut streams = Vec::new();
+    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for (place, at) in places(f) {
+            for width in WIDTHS {
+                let mut stream = f.stream.clone();
+                stream[at..at + width].fill(value);
+                let label = format!("{value} × {width} in the {place} (sample {at})");
+                streams.push((label, stream));
+            }
+        }
+    }
+    streams
+}
+
 /// The payload of the first packet the receiver decodes from `stream`.
 fn delivered(frame: FrameConfig, stream: &[f64]) -> Option<Vec<u8>> {
     push_blocks(frame, stream)
@@ -144,18 +161,33 @@ fn clean_stream_delivers_the_packet() {
 #[test]
 fn non_finite_runs_still_deliver_the_packet() {
     let f = fixture();
-    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        for (place, at) in places(&f) {
-            for width in WIDTHS {
-                let mut stream = f.stream.clone();
-                stream[at..at + width].fill(value);
-                assert_eq!(
-                    delivered(f.frame, &stream),
-                    Some(f.payload.clone()),
-                    "{value} × {width} in the {place} (sample {at})"
-                );
-            }
-        }
+    for (label, stream) in non_finite_streams(&f) {
+        assert_eq!(
+            delivered(f.frame, &stream),
+            Some(f.payload.clone()),
+            "{label}"
+        );
+    }
+}
+
+/// `detect` and `detect_streaming` silence NaN and ±inf too, so on each of
+/// those 24 streams both find the preamble where the clean stream has it,
+/// at the end of the lead-in. Unsilenced, `detect`'s one-shot correlation
+/// spreads the run over every lag, and the streaming correlator over every
+/// output of the FFT block that holds it.
+#[test]
+fn non_finite_runs_leave_both_detectors_on_the_preamble() {
+    let f = fixture();
+    let cfg = DetectorConfig::default();
+    let offsets = |stream: &[f64]| {
+        (
+            detect(stream, &f.preamble, &cfg).map(|d| d.offset),
+            detect_streaming(stream, &f.preamble, &cfg).map(|d| d.offset),
+        )
+    };
+    assert_eq!(offsets(&f.stream), (Some(LEAD), Some(LEAD)));
+    for (label, stream) in non_finite_streams(&f) {
+        assert_eq!(offsets(&stream), (Some(LEAD), Some(LEAD)), "{label}");
     }
 }
 

@@ -10,9 +10,12 @@
 //! - [`xcorr_valid_fft`] — one-shot FFT acceleration for offline buffers.
 //! - [`crate::stream::OverlapSaveCorrelator`] — streaming overlap-save
 //!   block convolution for the live receiver path.
+//!
+//! Detection input passes through [`silence_non_finite`] first.
 
 use crate::complex::{Complex, ZERO};
 use crate::fft::planner;
+use std::borrow::Cow;
 
 /// Cross-correlation of `signal` with `template` ("valid" lags only):
 /// `out[i] = Σ_j signal[i+j]·template[j]` for `i` in
@@ -108,6 +111,28 @@ pub fn xcorr_normalized(signal: &[f64], template: &[f64]) -> Vec<f64> {
 /// Real inner product over the overlap of two slices.
 pub fn inner(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// `signal` with every NaN and ±inf replaced by 0.0, borrowed unchanged
+/// when every sample is finite.
+///
+/// Outside audio can hold NaN or ±inf (a glitching sound card, a corrupt
+/// file). A filter, a correlation or a running sum of window energies
+/// spreads one such sample over every later output, and an FFT block over
+/// the whole block, so one of them would hide every preamble after it.
+/// Silenced, a run of them costs no more than a dropout as long. Finite
+/// input keeps its path and its bits.
+pub fn silence_non_finite(signal: &[f64]) -> Cow<'_, [f64]> {
+    if signal.iter().all(|x| x.is_finite()) {
+        Cow::Borrowed(signal)
+    } else {
+        Cow::Owned(
+            signal
+                .iter()
+                .map(|&x| if x.is_finite() { x } else { 0.0 })
+                .collect(),
+        )
+    }
 }
 
 /// Index of the maximum value; `None` on an empty slice. Ties resolve to the

@@ -27,7 +27,6 @@
 
 use crate::complex::Complex;
 use crate::fft::{real_planner, RealFft};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Streaming overlap-save FFT cross-correlator for a fixed template.
@@ -51,9 +50,9 @@ pub struct OverlapSaveCorrelator {
     /// Half-spectrum of the reversed, zero-padded template (computed once).
     template_fd: Vec<Complex>,
     /// Block time-domain / spectrum scratch, reused across blocks.
-    seg: RefCell<Vec<f64>>,
-    spec: RefCell<Vec<Complex>>,
-    inv: RefCell<Vec<f64>>,
+    seg: Vec<f64>,
+    spec: Vec<Complex>,
+    inv: Vec<f64>,
     /// Sample history `[base, total)`; samples below `emitted` are dropped.
     history: Vec<f64>,
     /// Absolute stream index of `history[0]`.
@@ -82,9 +81,9 @@ impl OverlapSaveCorrelator {
             l_per_block: block - m + 1,
             plan,
             template_fd,
-            seg: RefCell::new(Vec::new()),
-            spec: RefCell::new(Vec::new()),
-            inv: RefCell::new(Vec::new()),
+            seg: Vec::new(),
+            spec: Vec::new(),
+            inv: Vec::new(),
             history: Vec::new(),
             base: 0,
             emitted: 0,
@@ -150,20 +149,18 @@ impl OverlapSaveCorrelator {
     fn process_block(&mut self, count: usize, out: &mut Vec<f64>) {
         let start = self.emitted - self.base;
         let have = self.history.len() - start;
-        let mut seg = self.seg.borrow_mut();
-        seg.clear();
-        seg.extend_from_slice(&self.history[start..start + have.min(self.block)]);
-        seg.resize(self.block, 0.0);
-        let mut spec = self.spec.borrow_mut();
-        self.plan.forward_half_into(&seg, &mut spec);
-        for (p, q) in spec.iter_mut().zip(&self.template_fd) {
+        self.seg.clear();
+        self.seg
+            .extend_from_slice(&self.history[start..start + have.min(self.block)]);
+        self.seg.resize(self.block, 0.0);
+        self.plan.forward_half_into(&self.seg, &mut self.spec);
+        for (p, q) in self.spec.iter_mut().zip(&self.template_fd) {
             *p *= *q;
         }
-        let mut inv = self.inv.borrow_mut();
-        self.plan.inverse_half_into(&spec, &mut inv);
+        self.plan.inverse_half_into(&self.spec, &mut self.inv);
         // circular-convolution indices m−1.. are alias-free; index m−1+i is
         // valid lag emitted+i
-        out.extend_from_slice(&inv[self.m - 1..self.m - 1 + count]);
+        out.extend_from_slice(&self.inv[self.m - 1..self.m - 1 + count]);
         self.emitted += count;
     }
 

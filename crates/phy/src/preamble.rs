@@ -11,7 +11,7 @@ use crate::params::OfdmParams;
 use crate::symbol::synthesize_core;
 use aqua_dsp::cazac::zadoff_chu;
 use aqua_dsp::complex::Complex;
-use aqua_dsp::correlate::{argmax, inner, xcorr_normalized};
+use aqua_dsp::correlate::{argmax, inner, silence_non_finite, xcorr_normalized};
 use aqua_dsp::stream::StreamingNormalizedXcorr;
 use std::collections::VecDeque;
 
@@ -230,8 +230,11 @@ impl MetricScan {
 }
 
 /// Two-stage preamble detection over a buffer. Returns the best accepted
-/// detection, or `None`.
+/// detection, or `None`. NaN and ±inf samples are silenced first
+/// ([`silence_non_finite`]).
 pub fn detect(rx: &[f64], preamble: &Preamble, cfg: &DetectorConfig) -> Option<Detection> {
+    let silenced = silence_non_finite(rx);
+    let rx: &[f64] = &silenced;
     let params = &preamble.params;
     if rx.len() < preamble.len() {
         return None;
@@ -625,7 +628,8 @@ impl StreamingDetector {
 
 /// Convenience one-shot run of the streaming detector over a full capture:
 /// push, flush, first detection. The streaming analogue of [`detect`] —
-/// used by the evaluation harness and the equivalence test suite.
+/// used by the evaluation harness and the equivalence test suite. Like
+/// [`detect`], it silences NaN and ±inf samples first.
 ///
 /// Each worker thread keeps one long-lived [`StreamingDetector`] per
 /// (numerology, config) and `reset`s it per capture, so the overlap-save
@@ -660,7 +664,7 @@ pub fn detect_streaming(
         }
         let det = &mut slot.as_mut().unwrap().2;
         det.reset();
-        let mut found = det.push(rx);
+        let mut found = det.push(&silence_non_finite(rx));
         found.extend(det.flush());
         found.into_iter().next()
     })
