@@ -2,8 +2,11 @@
 //! subnormal written into a clean packet stream — in the lead-in, inside
 //! the preamble, in the receiver-ID symbol and in the data section — must
 //! not panic the streaming receiver or any receive-path stage it is built
-//! from. Only the absence of a panic is asserted: what a stage returns for
-//! such input is its own business.
+//! from. For most values only the absence of a panic is asserted: what a
+//! stage returns for such input is its own business. NaN and ±inf are
+//! silenced where audio enters the receiver and both preamble detectors,
+//! so runs of them must also leave the packet delivered and the preamble
+//! found.
 //!
 //! Release builds run the full grid of 6 values × 4 places × runs of 1
 //! and 64 samples. Debug builds run a 12-stream subset that writes each

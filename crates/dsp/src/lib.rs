@@ -8,8 +8,9 @@
 //! external DSP dependencies:
 //!
 //! - [`complex`]: `f64` complex arithmetic.
-//! - [`fft`]: mixed-radix FFT covering the modem's non-power-of-two OFDM
-//!   sizes (960 / 1920 / 4800 samples) with a Bluestein fallback.
+//! - [`fft`]: mixed-radix FFT over the 5-smooth lengths 2^a·3^b·5^c: the
+//!   modem's OFDM sizes (960 / 1920 / 4800 samples) divide
+//!   48 000 = 2^7·3·5^3, and every other transform is a power of two.
 //! - [`window`], [`fir`]: window functions, windowed-sinc FIR design, and
 //!   batch/streaming filtering (the receiver's 1–4 kHz front-end bandpass).
 //! - [`correlate`]: naive-reference, FFT-accelerated, and normalized

@@ -50,7 +50,9 @@ impl Psd {
 /// Welch PSD estimate with 50% overlap.
 ///
 /// `segment_len` controls frequency resolution (`fs / segment_len` Hz per
-/// bin). Only the one-sided spectrum (0..fs/2) is returned.
+/// bin) and must be a length [`crate::fft::RealFft`] plans: even, with no
+/// prime factor above 5. Only the one-sided spectrum (0..fs/2) is
+/// returned.
 pub fn welch_psd(signal: &[f64], segment_len: usize, fs: f64, window: Window) -> Psd {
     assert!(segment_len >= 2);
     let taps = window.build(segment_len);
@@ -111,6 +113,8 @@ pub struct Stft {
 
 /// Computes an STFT with the given hop (in samples). Used by diagnostic
 /// tooling (the `waterfall` example) to inspect packets on the air.
+/// `segment_len` must be a length [`crate::fft::RealFft`] plans, as for
+/// [`welch_psd`].
 pub fn stft(signal: &[f64], segment_len: usize, hop: usize, fs: f64, window: Window) -> Stft {
     assert!(segment_len >= 2 && hop >= 1);
     let taps = window.build(segment_len);

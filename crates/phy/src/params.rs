@@ -9,7 +9,9 @@
 pub struct OfdmParams {
     /// Sample rate in Hz.
     pub fs: f64,
-    /// FFT length (samples per symbol core).
+    /// FFT length (samples per symbol core). It must be even with no prime
+    /// factor above 5, the lengths `aqua_dsp::fft::RealFft` plans; 960,
+    /// 1920 and 4800 are 48 000/Δf for Δf = 50, 25 and 10 Hz.
     pub n_fft: usize,
     /// Cyclic prefix length in samples.
     pub cp: usize,
