@@ -50,6 +50,14 @@
 //! evaluates the configured [`FaultSchedule`] on it, so a 30 s blackout in
 //! schedule time covers exactly the packets whose exchanges overlap it.
 //!
+//! A burst without a fault schedule fans its fragment exchanges out across
+//! a [`Pool`] sized from `AQUA_PAR_THREADS` (every core when unset), one
+//! pool per transfer. With no schedule an exchange is a pure function of
+//! its fragment and seed, and the results are booked on the session clock
+//! in send order, so every output is bit-identical at any worker count. A
+//! scheduled burst stays a chain: each packet starts when the previous
+//! one ends, and that instant depends on the previous packet's outcome.
+//!
 //! Airtime accounting matches [`crate::arq`]: every forward attempt pays
 //! header + gap (+ data section when transmitted), every block ACK pays
 //! its tone symbols. Suspension waits accrue separately
@@ -61,6 +69,7 @@ use aqua_channel::fault::FaultSchedule;
 use aqua_channel::link::{Link, LinkConfig, SAMPLE_RATE};
 use aqua_coding::bits::{bits_to_bytes, bits_to_value, value_to_bits};
 use aqua_coding::crc::crc16;
+use aqua_par::Pool;
 use aqua_phy::feedback::{decode_tone, encode_tone};
 use aqua_phy::params::OfdmParams;
 use aqua_proto::transfer::{
@@ -415,7 +424,7 @@ pub fn run_bulk_transfer_with_faults(
     data: &[u8],
     lose: impl Fn(usize, u16) -> bool,
 ) -> Result<BulkOutcome, BulkError> {
-    run_rounds(cfg, data, false, &lose)
+    run_rounds(cfg, data, false, &lose, &Pool::from_env())
 }
 
 /// Graceful-degradation ladder: maps the measured per-round erasure rate
@@ -494,7 +503,28 @@ impl DegradationLadder {
 /// See the module docs for the protocol; [`BulkOutcome::reason`] reports
 /// how the run ended.
 pub fn run_adaptive_transfer(cfg: &BulkConfig, data: &[u8]) -> Result<BulkOutcome, BulkError> {
-    run_rounds(cfg, data, true, &|_, _| false)
+    run_rounds(cfg, data, true, &|_, _| false, &Pool::from_env())
+}
+
+/// One forward fragment exchange: a full packet trial carrying `frag`
+/// with `seed`, starting at session time `start_s`. Returns the decoded
+/// payload bits (if any) and the airtime the attempt paid.
+fn fragment_exchange(
+    cfg: &BulkConfig,
+    frag: &Fragment,
+    seed: u64,
+    start_s: f64,
+) -> (Option<Vec<u8>>, f64) {
+    let mut t = cfg.base.clone();
+    t.payload = frag.to_bits();
+    t.frame.payload_bits = t.payload.len();
+    t.seed = seed;
+    t.faults = cfg.faults.clone();
+    t.start_s = start_s;
+    let trial = run_trial(&t);
+    let band_bins = trial.band.map(|b| b.len()).unwrap_or(1);
+    let air = attempt_airtime_s(&t.frame, band_bins, trial.data_phase);
+    (trial.bits, air)
 }
 
 /// The sender's side of one transfer, shared by window rounds and
@@ -503,6 +533,8 @@ struct Sender<'a> {
     cfg: &'a BulkConfig,
     /// The loss hook of [`run_bulk_transfer_with_faults`].
     lose: &'a dyn Fn(usize, u16) -> bool,
+    /// Runs the fragment exchanges of a burst without a fault schedule.
+    pool: &'a Pool,
     plan: TransferPlan,
     frags: Vec<Fragment>,
     /// Released sequence numbers not yet acknowledged, ascending.
@@ -567,24 +599,17 @@ impl Sender<'_> {
         }
     }
 
-    /// One forward fragment exchange on the session clock: a full packet
-    /// trial carrying fragment `seq`, fed to the reassembler unless `lost`.
-    /// Returns whether the receiver heard it (fresh or duplicate).
-    fn send(&mut self, seq: u16, seed: u64, lost: bool) -> bool {
-        let mut t = self.cfg.base.clone();
-        t.payload = self.frags[seq as usize].to_bits();
-        t.frame.payload_bits = t.payload.len();
-        t.seed = seed;
-        t.faults = self.cfg.faults.clone();
-        t.start_s = self.now_s;
-        let trial = run_trial(&t);
-        let band_bins = trial.band.map(|b| b.len()).unwrap_or(1);
-        let air = attempt_airtime_s(&t.frame, band_bins, trial.data_phase);
+    /// Books one forward exchange of fragment `seq` in round `round` on
+    /// the session clock and feeds its bits to the reassembler unless the
+    /// loss hook drops them. Returns 1 if the receiver heard it (fresh or
+    /// duplicate), else 0.
+    fn book(&mut self, seq: u16, round: usize, (bits, air): (Option<Vec<u8>>, f64)) -> usize {
+        let lost = (self.lose)(round, seq);
         self.out.packets_sent += 1;
         self.out.airtime_s += air;
         self.now_s += air;
         self.sent[seq as usize] += 1;
-        let accept = (trial.bits)
+        let accept = bits
             .filter(|_| !lost)
             .and_then(|b| Fragment::from_bits(&b))
             .map(|f| self.reasm.accept(&f));
@@ -593,22 +618,47 @@ impl Sender<'_> {
             Some(Accept::Duplicate) => self.out.duplicates += 1,
             Some(Accept::Invalid) | None => self.out.erasures += 1,
         }
-        matches!(accept, Some(Accept::Fresh | Accept::Duplicate))
+        usize::from(matches!(accept, Some(Accept::Fresh | Accept::Duplicate)))
     }
 
     /// A forward burst, then up to `ack_tries` block-ACK exchanges on the
     /// reverse link: what every window round and every suspend probe is
     /// made of. Returns how many burst fragments the receiver heard and
     /// whether a block ACK decoded.
+    ///
+    /// The burst's seeds are drawn in send order before any exchange
+    /// runs. Without a fault schedule `run_trial` never reads the start
+    /// time, so each exchange is a pure function of its fragment and seed:
+    /// the burst runs through the pool and is booked in send order. With a
+    /// schedule each packet starts when the previous one ends, which
+    /// depends on that packet's outcome, so the burst runs as a chain on
+    /// the calling thread. The block-ACK tones share one link's noise
+    /// stream and always run in order.
     fn exchange(&mut self, burst: &[u16], ack_tries: usize, round: usize) -> (usize, bool) {
         let start_s = self.now_s;
+        let seeds: Vec<u64> = burst
+            .iter()
+            .map(|&seq| {
+                let key = self.seed_key(round as u64 + 1);
+                (self.cfg.base.seed)
+                    .wrapping_add(0x9E37_79B9u64.wrapping_mul(key))
+                    .wrapping_add(7919 * seq as u64)
+            })
+            .collect();
         let mut heard = 0;
-        for &seq in burst {
-            let key = self.seed_key(round as u64 + 1);
-            let seed = (self.cfg.base.seed)
-                .wrapping_add(0x9E37_79B9u64.wrapping_mul(key))
-                .wrapping_add(7919 * seq as u64);
-            heard += usize::from(self.send(seq, seed, (self.lose)(round, seq)));
+        if self.cfg.faults.is_some() {
+            for (&seq, &seed) in burst.iter().zip(&seeds) {
+                let sent = fragment_exchange(self.cfg, &self.frags[seq as usize], seed, self.now_s);
+                heard += self.book(seq, round, sent);
+            }
+        } else {
+            let (cfg, frags) = (self.cfg, &self.frags);
+            let sent = self.pool.par_map(burst.len(), |i| {
+                fragment_exchange(cfg, &frags[burst[i] as usize], seeds[i], start_s)
+            });
+            for (&seq, sent) in burst.iter().zip(sent) {
+                heard += self.book(seq, round, sent);
+            }
         }
         let total = self.plan.total_frags() as u16;
         let ack = build_ack(&self.reasm, self.cfg.window, total);
@@ -639,12 +689,13 @@ impl Sender<'_> {
 /// The sender round loop behind both engines. The static engine is this
 /// loop with `adaptive` off: all parity released up front, one block-ACK
 /// try per round, seeds keyed by round, and no ladder, dead-round or
-/// suspend logic.
+/// suspend logic. `pool` runs the bursts that have no fault schedule.
 fn run_rounds(
     cfg: &BulkConfig,
     data: &[u8],
     adaptive: bool,
     lose: &dyn Fn(usize, u16) -> bool,
+    pool: &Pool,
 ) -> Result<BulkOutcome, BulkError> {
     if cfg.window == 0 {
         return Err(BulkError::ZeroWindow);
@@ -664,6 +715,7 @@ fn run_rounds(
     let mut tx = Sender {
         cfg,
         lose,
+        pool,
         plan,
         frags: plan.segment(data),
         pending: (0..plan.total_frags() as u16)
@@ -994,5 +1046,93 @@ mod tests {
 
     fn plain_data_frags(cfg: &BulkConfig, payload: &[u8]) -> usize {
         payload.len().div_ceil(cfg.params.frag_bytes)
+    }
+
+    /// Every `BulkOutcome` field, floats by bit pattern. The destructuring
+    /// names each field, so a new one must be added here.
+    fn outcome_bits(out: &BulkOutcome) -> (Option<Vec<u8>>, BulkReason, [usize; 8], [u64; 3]) {
+        let BulkOutcome {
+            delivered,
+            reason,
+            rounds,
+            packets_sent,
+            packets_delivered,
+            erasures,
+            duplicates,
+            acks_lost,
+            suspensions,
+            probes,
+            suspended_s,
+            airtime_s,
+            goodput_bps,
+        } = out;
+        (
+            delivered.clone(),
+            *reason,
+            [
+                *rounds,
+                *packets_sent,
+                *packets_delivered,
+                *erasures,
+                *duplicates,
+                *acks_lost,
+                *suspensions,
+                *probes,
+            ],
+            [
+                suspended_s.to_bits(),
+                airtime_s.to_bits(),
+                goodput_bps.to_bits(),
+            ],
+        )
+    }
+
+    /// Runs one 120 B transfer (16 fragments, window 6) through the round
+    /// loop on a serial pool and on a 4-worker pool that hands out one
+    /// exchange per grab, requires the two outcomes to match field for
+    /// field, and returns the serial one.
+    fn pool_size_outcome(
+        cfg: &BulkConfig,
+        adaptive: bool,
+        lose: &dyn Fn(usize, u16) -> bool,
+    ) -> BulkOutcome {
+        let payload = demo_payload(120);
+        let serial =
+            run_rounds(cfg, &payload, adaptive, lose, &Pool::new(1)).expect("valid config");
+        let wide = run_rounds(cfg, &payload, adaptive, lose, &Pool::new(4).with_chunk(1))
+            .expect("valid config");
+        assert_eq!(outcome_bits(&serial), outcome_bits(&wide));
+        assert_eq!(serial.delivered.as_deref(), Some(&payload[..]));
+        serial
+    }
+
+    fn pool_size_cfg() -> BulkConfig {
+        bridge_cfg(TransferParams {
+            frag_bytes: 10,
+            gen_data: 8,
+            parity: 2,
+        })
+    }
+
+    #[test]
+    fn pool_size_leaves_the_static_engine_under_a_loss_hook_unchanged() {
+        let out = pool_size_outcome(&pool_size_cfg(), false, &|_, seq| seq % 5 == 3);
+        assert!(out.erasures >= 3, "the loss hook dropped fragments");
+    }
+
+    #[test]
+    fn pool_size_leaves_the_adaptive_engine_unchanged() {
+        pool_size_outcome(&pool_size_cfg(), true, &|_, _| false);
+    }
+
+    #[test]
+    fn pool_size_leaves_a_scheduled_chain_unchanged() {
+        // A blackout from 3 s to 13 s of session time: the first window
+        // runs into it, so the sender suspends and probes. A scheduled
+        // burst never reaches the pool.
+        let mut cfg = pool_size_cfg();
+        cfg.faults = Some(FaultSchedule::seeded(7).with_blackout(3.0, 10.0));
+        let out = pool_size_outcome(&cfg, true, &|_, _| false);
+        assert_eq!(out.suspensions, 1, "the blackout parked the transfer");
     }
 }
