@@ -652,6 +652,7 @@ impl Sender<'_> {
                 heard += self.book(seq, round, sent);
             }
         } else {
+            // Borrow the fields, not `self`: the loss hook is not `Sync`.
             let (cfg, frags) = (self.cfg, &self.frags);
             let sent = self.pool.par_map(burst.len(), |i| {
                 fragment_exchange(cfg, &frags[burst[i] as usize], seeds[i], start_s)

@@ -2,8 +2,9 @@
 //! quick series run on the parallel engine produces **byte-identical**
 //! `SeriesStats` to the serial path — every field of every `TrialResult`,
 //! not just the aggregates. Trials derive all randomness from per-packet
-//! seeds and the FFT plan caches are per-thread, so work distribution must
-//! never leak into results (DESIGN.md §8).
+//! seeds, and the FFT plans every worker shares live in one process-wide
+//! `aqua_dsp::memo` keyed by exact bits, so work distribution must never
+//! leak into results (DESIGN.md §8).
 
 use aqua_eval::engine::ExperimentEngine;
 use aqua_eval::runner::summarize;
