@@ -118,11 +118,17 @@ echo "==> ocean simulator: oracle equivalence + parallel determinism + stream pi
 # radius equals a fresh render bit for bit (all of them here, a stride in
 # debug), four racing threads read identical bits, a cache counts only
 # its own reads however warm the table is, and a range past the table
-# renders fresh. (Debug `cargo test -q` above runs them too; this names
-# them so a red shows up next to the contract it broke.)
+# renders fresh. slot_queue_pops_in_heap_order pushes random schedules
+# (same-slot ties on node, kind and seq, lookaheads of 1 to 10^5 slots,
+# pushes past the horizon) through the core's slot-bucketed queue and a
+# binary heap keyed (slot, node, kind, seq): same pop order, same
+# pending count after every pop, same capped drain. (Debug `cargo test
+# -q` above runs them too; this names them so a red shows up next to
+# the contract it broke.)
 cargo test -q -p aqua-mac --release --test ocean_equivalence --test ocean_determinism \
   --test ocean_stream_pinned
-cargo test -q -p aqua-mac --release --lib -- ocean::phy::tests::probe_table_
+cargo test -q -p aqua-mac --release --lib -- ocean::phy::tests::probe_table_ \
+  ocean::event::tests::slot_queue_pops_in_heap_order
 cargo test -q -p aqua-eval --release --test per_calibration
 
 echo "==> bulk transfer: RS codec proptests + parser fuzz + end-to-end suite"

@@ -4,11 +4,24 @@
 //! and recomputes every node's sensed energy per slot — O(slots × n²),
 //! fine for the paper's 2–3 transmitter dive site, hopeless for a
 //! simulated ocean. This module re-expresses the **same state machine** as
-//! events on a binary heap: a node is only touched at the slots where the
-//! slot-stepped simulator would actually *change its state or draw from
-//! the RNG* (wait expiry, backoff ticks, transmission end), and sensed
-//! energy is answered from an index of live transmissions instead of a
-//! global per-slot scan.
+//! events in a slot-bucketed queue: a node is only touched at the slots
+//! where the slot-stepped simulator would actually *change its state or
+//! draw from the RNG* (wait expiry, backoff ticks, transmission end), and
+//! sensed energy is answered from an index of live transmissions instead
+//! of a global per-slot scan.
+//!
+//! **Slot buckets.** Every event the core schedules lands strictly after
+//! the slot it is processing: a state set at slot `t` is acted on at
+//! `t + 1` or later, and a reception resolves one slot past the end of
+//! its window. So pending events wait unsorted in one bucket per slot, in
+//! a window running from the next slot to the farthest one scheduled
+//! (about 6 000 slots for 2–8 min inter-packet gaps, whatever the
+//! horizon), and a bucket is complete when the core reaches it: sorting
+//! it by `(node, kind, seq)` yields the order a binary heap keyed
+//! `(slot, node, kind, seq)` would. Buckets chain their events through
+//! one arena whose cells are reused once their slot is reached, so the
+//! queue holds about as many cells as there are pending events. Events at
+//! or past the run's horizon stay in their buckets for the capped drain.
 //!
 //! **Live-transmission index.** Every transmission `(start, until, node)`
 //! is appended to the deque of its sender's spatial cell
@@ -30,7 +43,7 @@
 //! the slot-stepped oracle: same `tx_times`, same collision stats, same
 //! `duration_s`. That holds because
 //!
-//! - the event heap is keyed `(slot, node, kind)`, so decisions are made
+//! - events are taken in `(slot, node, kind)` order, so decisions are made
 //!   in exactly the oracle's slot-major, node-index-minor order, and the
 //!   single shared `StdRng` is therefore consumed in the same sequence;
 //! - a transmission started at slot `s` with end slot `u` is audible at
@@ -47,7 +60,7 @@
 //!
 //! On top of the MAC state machine the core supports the ocean extensions
 //! through [`SimHooks`]: per-node destinations, propagation-delay-adjusted
-//! reception windows (scheduled as extra heap events after the packet has
+//! reception windows (scheduled as extra queued events after the packet has
 //! fully arrived), and interference capture for the PHY dispatch layer
 //! ([`crate::ocean::phy`]). In oracle mode the hooks are inert and the
 //! extensions vanish.
@@ -55,8 +68,7 @@
 use crate::netsim::{collision_stats, MacConfig, MacResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sound speed used for propagation-delay-adjusted arrival times (m/s).
 pub const SOUND_SPEED: f64 = 1500.0;
@@ -224,9 +236,10 @@ pub trait SimHooks {
 pub struct CoreStats {
     /// Total simulated time, matching the oracle's `duration_s`.
     pub duration_s: f64,
-    /// Heap events processed.
+    /// Events processed.
     pub events: u64,
-    /// Peak event-heap length (memory-bound witness).
+    /// Peak pending events, sampled after each processed event
+    /// (memory-bound witness).
     pub peak_heap: usize,
 }
 
@@ -248,7 +261,7 @@ struct NodeCtx {
 const KIND_STATE: u8 = 0;
 const KIND_RESOLVE: u8 = 1;
 
-/// Heap event. Ordering is `(slot, node, kind, seq)` — slot-major and
+/// Queued event. Ordering is `(slot, node, kind, seq)` — slot-major and
 /// node-index-minor inside a slot, the oracle's processing order.
 #[derive(Debug, Clone, Copy)]
 struct Ev {
@@ -287,6 +300,135 @@ impl Ord for Ev {
     }
 }
 
+/// Pending events bucketed by slot, popped in `(slot, node, kind, seq)`
+/// order.
+///
+/// The core pushes every event strictly after the slot it is processing
+/// (a state event at `t + 1` or later, a resolve one slot past its
+/// reception window), so a slot's bucket is complete when the queue
+/// reaches it, and sorting that one bucket by `(node, kind, seq)` gives
+/// the total order. The window holds one bucket per slot from the next
+/// slot to the farthest one pushed: its length follows the lookahead
+/// actually scheduled, not the horizon, and events past the horizon wait
+/// in their buckets for the capped drain. A bucket is a chain of cells in
+/// one arena, and the cells of a slot the queue has reached are reused by
+/// later pushes, so the arena holds no more cells than the peak of
+/// pending events.
+struct SlotQueue {
+    /// Event cells, each in one bucket's chain or on the free list.
+    cells: Vec<Cell>,
+    /// First free cell.
+    free: u32,
+    /// `window[k]`: first cell of slot `base + k`'s bucket, or [`NIL`].
+    window: VecDeque<u32>,
+    base: u64,
+    /// The events of the slot being processed, sorted; `cur[next..]` are
+    /// still pending.
+    cur: Vec<Ev>,
+    next: usize,
+    /// Pending events in the buckets and `cur` together.
+    len: usize,
+}
+
+/// An [`Ev`] in its bucket, which gives its slot, with the link to the
+/// next cell of the bucket or of the free list: 40 bytes, no more than
+/// the `Ev` alone.
+#[derive(Clone, Copy)]
+struct Cell {
+    seq: u64,
+    start_slot: u64,
+    access_s: f64,
+    node: u32,
+    dest: u32,
+    next: u32,
+    kind: u8,
+}
+
+/// End of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+impl SlotQueue {
+    fn new() -> Self {
+        Self {
+            cells: Vec::new(),
+            free: NIL,
+            window: VecDeque::new(),
+            base: 0,
+            cur: Vec::new(),
+            next: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, ev: Ev) {
+        let k = ev
+            .slot
+            .checked_sub(self.base)
+            .expect("event scheduled at or before the slot being processed")
+            as usize;
+        if k >= self.window.len() {
+            self.window.resize(k + 1, NIL);
+        }
+        let cell = Cell {
+            seq: ev.seq,
+            start_slot: ev.start_slot,
+            access_s: ev.access_s,
+            node: ev.node,
+            dest: ev.dest,
+            next: self.window[k],
+            kind: ev.kind,
+        };
+        self.window[k] = if self.free == NIL {
+            self.cells.push(cell);
+            u32::try_from(self.cells.len() - 1).expect("pending events fit u32")
+        } else {
+            let c = self.free;
+            self.free = self.cells[c as usize].next;
+            self.cells[c as usize] = cell;
+            c
+        };
+        self.len += 1;
+    }
+
+    /// The next pending event if its slot is below `end`.
+    fn pop_before(&mut self, end: u64) -> Option<Ev> {
+        while self.next == self.cur.len() {
+            if self.base >= end {
+                return None;
+            }
+            let mut c = self.window.pop_front()?;
+            let slot = self.base;
+            self.base += 1;
+            self.cur.clear();
+            self.next = 0;
+            while c != NIL {
+                let cell = &mut self.cells[c as usize];
+                self.cur.push(Ev {
+                    slot,
+                    node: cell.node,
+                    kind: cell.kind,
+                    seq: cell.seq,
+                    start_slot: cell.start_slot,
+                    dest: cell.dest,
+                    access_s: cell.access_s,
+                });
+                let next = std::mem::replace(&mut cell.next, self.free);
+                self.free = c;
+                c = next;
+            }
+            self.cur.sort_unstable();
+        }
+        let ev = self.cur[self.next];
+        self.next += 1;
+        self.len -= 1;
+        Some(ev)
+    }
+}
+
 /// The event-driven MAC core, generic over medium and scenario hooks.
 pub struct EventCore<'a, M: Medium, H: SimHooks> {
     cfg: &'a MacConfig,
@@ -294,7 +436,7 @@ pub struct EventCore<'a, M: Medium, H: SimHooks> {
     hooks: &'a mut H,
     rng: StdRng,
     nodes: Vec<NodeCtx>,
-    heap: BinaryHeap<Reverse<Ev>>,
+    queue: SlotQueue,
     packet_slots: u64,
     /// Per spatial cell: the transmissions `(start_slot, until_slot,
     /// node)` of the cell's nodes in start order. Every transmission lasts
@@ -329,7 +471,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
         let prune_h = packet_slots
             + 3
             + ((cfg.packet_duration_s + 2.0 * max_prop_s) / cfg.slot_s).ceil() as u64;
-        let mut heap = BinaryHeap::new();
+        let mut queue = SlotQueue::new();
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
             let when = to_slots(cfg.initial_delay_s, cfg.slot_s, &mut rng);
@@ -338,7 +480,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
                 sent: 0,
                 intended: when,
             });
-            heap.push(Reverse(Ev {
+            queue.push(Ev {
                 slot: when,
                 node: i as u32,
                 kind: KIND_STATE,
@@ -346,16 +488,16 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
                 start_slot: 0,
                 dest: 0,
                 access_s: 0.0,
-            }));
+            });
         }
-        let peak_heap = heap.len();
+        let peak_heap = queue.len();
         Self {
             cfg,
             medium,
             hooks,
             rng,
             nodes,
-            heap,
+            queue,
             packet_slots,
             live: vec![VecDeque::new(); medium.cell_count()],
             prune_h,
@@ -373,13 +515,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
     /// frozen live-transmission index.
     pub fn run(mut self, max_slots: u64) -> CoreStats {
         let mut last_slot = 0u64;
-        let mut capped = false;
-        while let Some(&Reverse(Ev { slot, .. })) = self.heap.peek() {
-            if slot >= max_slots {
-                capped = true;
-                break;
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked event");
+        while let Some(ev) = self.queue.pop_before(max_slots) {
             self.events += 1;
             last_slot = ev.slot;
             match ev.kind {
@@ -391,21 +527,20 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
                     ev.access_s,
                 ),
             }
-            self.peak_heap = self.peak_heap.max(self.heap.len());
+            self.peak_heap = self.peak_heap.max(self.queue.len());
         }
-        if capped {
-            // MAC activity stops at the horizon, but packets fully
-            // transmitted before it still complete their flight.
-            while let Some(Reverse(ev)) = self.heap.pop() {
-                if ev.kind == KIND_RESOLVE {
-                    self.events += 1;
-                    self.process_resolve(
-                        ev.node as usize,
-                        ev.dest as usize,
-                        ev.start_slot,
-                        ev.access_s,
-                    );
-                }
+        let capped = self.queue.len() > 0;
+        // MAC activity stops at the horizon, but packets fully transmitted
+        // before it still complete their flight.
+        while let Some(ev) = self.queue.pop_before(u64::MAX) {
+            if ev.kind == KIND_RESOLVE {
+                self.events += 1;
+                self.process_resolve(
+                    ev.node as usize,
+                    ev.dest as usize,
+                    ev.start_slot,
+                    ev.access_s,
+                );
             }
         }
         let duration_s = if capped {
@@ -421,7 +556,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
     }
 
     fn push_state(&mut self, slot: u64, node: usize) {
-        self.heap.push(Reverse(Ev {
+        self.queue.push(Ev {
             slot,
             node: node as u32,
             kind: KIND_STATE,
@@ -429,7 +564,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
             start_slot: 0,
             dest: 0,
             access_s: 0.0,
-        }));
+        });
     }
 
     /// The oracle's sensed-energy test: noise plus the gains of the
@@ -544,7 +679,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
                 let window_end = t_s + prop + self.cfg.packet_duration_s;
                 let resolve_slot = (window_end / self.cfg.slot_s).ceil() as u64 + 1;
                 self.seq += 1;
-                self.heap.push(Reverse(Ev {
+                self.queue.push(Ev {
                     slot: resolve_slot,
                     node: i as u32,
                     kind: KIND_RESOLVE,
@@ -552,7 +687,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
                     start_slot: t,
                     dest: d,
                     access_s,
-                }));
+                });
             }
         }
     }
@@ -678,6 +813,100 @@ pub fn simulate_events(
 mod tests {
     use super::*;
     use crate::netsim::simulate;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashSet};
+
+    /// The slot queue and the binary heap it replaced, fed the same
+    /// pushes.
+    struct BothQueues {
+        queue: SlotQueue,
+        heap: BinaryHeap<Reverse<Ev>>,
+        keys: HashSet<(u64, u32, u8, u64)>,
+    }
+
+    impl BothQueues {
+        /// Pushes an event at `slot` into both unless its key is taken.
+        /// Node, kind and seq come from small ranges, so same-slot ties
+        /// on each key field are common; `start_slot` numbers the event,
+        /// so a misplaced one shows.
+        fn push(&mut self, slot: u64, rng: &mut StdRng) {
+            let ev = Ev {
+                slot,
+                node: rng.gen_range(0..4),
+                kind: rng.gen_range(0..2),
+                seq: rng.gen_range(0..3),
+                start_slot: self.keys.len() as u64,
+                dest: 0,
+                access_s: 0.0,
+            };
+            if self.keys.insert(ev.key()) {
+                self.queue.push(ev);
+                self.heap.push(Reverse(ev));
+            }
+        }
+    }
+
+    fn same(a: &Ev, b: &Ev) -> bool {
+        a.key() == b.key() && a.start_slot == b.start_slot
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random schedules pushed the way the core pushes (initial
+        /// events from slot 0, then after each pop up to two events 1 to
+        /// 10^5 slots past the popped one, some at or past the horizon)
+        /// pop in the heap's `(slot, node, kind, seq)` order with the
+        /// heap's pending count after every pop, and the capped drain
+        /// yields the heap's remaining events in its order.
+        #[test]
+        fn slot_queue_pops_in_heap_order(seed in 0u64..1_000_000, cap in 0usize..3) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let horizon = match cap {
+                0 => u64::MAX,
+                1 => rng.gen_range(0..300),
+                _ => rng.gen_range(1..300_000),
+            };
+            let mut q = BothQueues {
+                queue: SlotQueue::new(),
+                heap: BinaryHeap::new(),
+                keys: HashSet::new(),
+            };
+            for _ in 0..rng.gen_range(1..60) {
+                q.push(rng.gen_range(0..6_000), &mut rng);
+            }
+            let mut budget = 1_500;
+            while let Some(ev) = q.queue.pop_before(horizon) {
+                let Reverse(want) = q.heap.pop().expect("heap ran out first");
+                prop_assert!(same(&ev, &want), "popped {:?}, heap {:?}", ev, want);
+                prop_assert!(ev.slot < horizon);
+                prop_assert_eq!(q.queue.len(), q.heap.len());
+                for _ in 0..rng.gen_range(0..=2) {
+                    if budget == 0 {
+                        break;
+                    }
+                    budget -= 1;
+                    let ahead = match rng.gen_range(0..4) {
+                        0 => 1,
+                        1 => rng.gen_range(1..=30),
+                        2 => rng.gen_range(1..=6_000),
+                        _ => rng.gen_range(1..=100_000),
+                    };
+                    q.push(ev.slot + ahead, &mut rng);
+                }
+                prop_assert_eq!(q.queue.len(), q.heap.len());
+            }
+            prop_assert!(q.heap.peek().is_none_or(|Reverse(e)| e.slot >= horizon));
+            while let Some(ev) = q.queue.pop_before(u64::MAX) {
+                let Reverse(want) = q.heap.pop().expect("heap ran out first");
+                prop_assert!(same(&ev, &want), "drained {:?}, heap {:?}", ev, want);
+                prop_assert_eq!(q.queue.len(), q.heap.len());
+            }
+            prop_assert!(q.heap.is_empty());
+            prop_assert_eq!(q.queue.len(), 0);
+        }
+    }
 
     fn easy(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         (vec![vec![1e-4; n]; n], vec![1e-6; n])
