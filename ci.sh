@@ -216,11 +216,12 @@ check_budget mean "rs_stripe_2kb" 1
 
 echo "==> perf smoke: ocean_events_per_second (PR 6 event-driven core)"
 # One quick-size 150-node, 30-simulated-minute grid run per iteration:
-# ~4 ms mean on a 2-vCPU x86_64 guest (~0.7 M events/s single-worker
-# at quick size). The warm-up run fills the process-wide probe table,
-# so timed iterations render no probes; re-rendering the run's 121
-# buckets would add ~100 ms, which this budget does not catch. The
-# 10 000-node full deployment sustains 1-3.3 M events/s at 1 worker.
+# ~2.9 ms mean on a 2-vCPU x86_64 guest (~1.0 M events/s single-worker
+# at quick size) with the slot-bucketed event queue. The warm-up run
+# fills the process-wide probe table, so timed iterations render no
+# probes; re-rendering the run's 121 buckets would add ~100 ms, which
+# this budget does not catch. The 10 000-node full deployment sustains
+# 2.6-4.4 M events/s at 1 worker (2.0-3.7 M with a binary heap).
 # The budget stays 300 ms: a regression to per-slot scanning would
 # cost >100x.
 BENCH_OUT=$(cargo bench -p aqua-bench --bench ocean_events)

@@ -13,10 +13,11 @@
 //! | standard | 2 000  | 4 h       |
 //! | full     | 10 000 | 24 h      |
 //!
-//! The second table reports the bounded-memory witnesses (peak event-heap
-//! and collision-window lengths, sample-level probe renders) and event
-//! throughput — the numbers EXPERIMENTS.md records. The quick size runs
-//! in `ci.sh`'s one `repro all quick` gate.
+//! The second table reports the bounded-memory witnesses (peak pending
+//! events in the "peak heap" column, peak collision-window length,
+//! sample-level probe renders) and event throughput — the numbers
+//! EXPERIMENTS.md records. The quick size runs in `ci.sh`'s one `repro
+//! all quick` gate.
 
 use crate::runner::RunSize;
 use crate::table::{pct, Table};

@@ -331,8 +331,8 @@ struct SlotQueue {
 }
 
 /// An [`Ev`] in its bucket, which gives its slot, with the link to the
-/// next cell of the bucket or of the free list: 40 bytes, no more than
-/// the `Ev` alone.
+/// next cell of the bucket or of the free list: 40 bytes against the
+/// `Ev`'s 48.
 #[derive(Clone, Copy)]
 struct Cell {
     seq: u64,
@@ -828,17 +828,18 @@ mod tests {
     impl BothQueues {
         /// Pushes an event at `slot` into both unless its key is taken.
         /// Node, kind and seq come from small ranges, so same-slot ties
-        /// on each key field are common; `start_slot` numbers the event,
-        /// so a misplaced one shows.
+        /// on each key field are common; the payload numbers the event,
+        /// so a misplaced or garbled one shows.
         fn push(&mut self, slot: u64, rng: &mut StdRng) {
+            let id = self.keys.len() as u64;
             let ev = Ev {
                 slot,
                 node: rng.gen_range(0..4),
                 kind: rng.gen_range(0..2),
                 seq: rng.gen_range(0..3),
-                start_slot: self.keys.len() as u64,
-                dest: 0,
-                access_s: 0.0,
+                start_slot: id,
+                dest: id as u32 ^ 0x5a5a,
+                access_s: id as f64 * 0.25,
             };
             if self.keys.insert(ev.key()) {
                 self.queue.push(ev);
@@ -848,7 +849,9 @@ mod tests {
     }
 
     fn same(a: &Ev, b: &Ev) -> bool {
-        a.key() == b.key() && a.start_slot == b.start_slot
+        a.key() == b.key()
+            && (a.start_slot, a.dest, a.access_s.to_bits())
+                == (b.start_slot, b.dest, b.access_s.to_bits())
     }
 
     proptest! {

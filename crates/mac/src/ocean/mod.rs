@@ -6,8 +6,8 @@
 //! 80 ms slot and renders every link sample-level). This module family
 //! splits the problem:
 //!
-//! - [`event`]: the event-driven MAC core — a binary-heap event queue
-//!   keyed `(slot, node)`, a per-cell index of live transmissions
+//! - [`event`]: the event-driven MAC core — a slot-bucketed event queue
+//!   ordered `(slot, node)`, a per-cell index of live transmissions
 //!   instead of per-slot scans, and reception windows scheduled at
 //!   propagation-delay-adjusted arrival times. On dense small configs it
 //!   is **bit-identical** to `netsim::simulate` (the oracle), pinned by
@@ -139,9 +139,9 @@ pub struct OceanResult {
     pub latency_p90_s: f64,
     /// Jain fairness index over per-sender delivered counts.
     pub fairness: f64,
-    /// Heap events processed by the core.
+    /// Events processed by the core.
     pub events: u64,
-    /// Peak event-heap length (memory-bound witness).
+    /// Peak pending events in the core's queue (memory-bound witness).
     pub peak_heap: usize,
     /// Peak collision-window length (memory-bound witness).
     pub peak_collision_window: usize,

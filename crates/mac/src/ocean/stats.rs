@@ -7,7 +7,7 @@
 //!
 //! [`CollisionWindow`] replicates the batch `collision_stats` semantics
 //! one packet at a time: the simulator feeds transmission starts in
-//! non-decreasing time order (the event heap guarantees it), a sliding
+//! non-decreasing time order (the event queue guarantees it), a sliding
 //! window keeps only starts within one packet duration, and a packet's
 //! collided flag is final once it slides out. On identical input streams
 //! the fractions are **bit-identical** to the batch pass — pinned by the
@@ -205,7 +205,7 @@ mod tests {
     use crate::netsim::collision_stats;
 
     /// Feeds a tx_times schedule through the window in global time order
-    /// (ties by node index — the event-heap order) and compares against
+    /// (ties by node index — the event-queue order) and compares against
     /// the batch oracle bit-for-bit.
     fn assert_matches_batch(tx_times: &[Vec<f64>], dur: f64) {
         let mut all: Vec<(u32, f64)> = Vec::new();

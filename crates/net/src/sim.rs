@@ -289,9 +289,9 @@ pub struct RelayOceanResult {
     pub journal_compactions: u64,
     /// Journal records replayed by crash recovery across the fleet.
     pub journal_replayed: u64,
-    /// Heap events processed by the core.
+    /// Events processed by the core.
     pub events: u64,
-    /// Peak event-heap length.
+    /// Peak pending events in the core's queue.
     pub peak_heap: usize,
 }
 
